@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the analysis over every bundled example program and print the
-resulting alias relations in canonical form.
+resulting alias relations in canonical form.  Each program's level is its
+file extension; its initial relation is the ``--init "..."`` written in its
+header comment (empty when there is none).
 
 Usage:
     python3 scripts/run_examples.py [--programs DIR] [--trace]
@@ -8,6 +10,7 @@ Usage:
 
 import argparse
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -15,23 +18,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from aliascalc.engine import analyze
 from aliascalc.lang import parse
 from aliascalc.relations import parse_relation_literal, render_relation
-
-# (file, language level, initial relation)
-EXAMPLES = [
-    ("assign_chain.e0", "e0", "{b,c},{f,g,x},{y,z}"),
-    ("branch_assign.e0", "e0", "{b,c},{f,g}"),
-    ("swap_repeat.e0", "e0", "{c,y},{d,z}"),
-    ("swap_loop.e0", "e0", "{c,y},{d,z}"),
-    ("mixed_flow.e0", "e0", "{}"),
-    ("self_recursive.e1", "e1", "{}"),
-    ("self_recursive_rev.e1", "e1", "{}"),
-    ("mutual_recursion.e1", "e1", "{}"),
-    ("mutual_recursion_large.e1", "e1", "{}"),
-    ("field_sources.e2", "e2", "{}"),
-    ("qualified_call_args.e2", "e2", "{}"),
-    ("linked_lists.e2", "e2", "{}"),
-    ("linked_lists_shared.e2", "e2", "{}"),
-]
 
 
 def main() -> int:
@@ -48,10 +34,12 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    for name, level, init_text in EXAMPLES:
-        path = os.path.join(args.programs, name)
-        with open(path, "r", encoding="utf-8") as handle:
+    for name in sorted(os.listdir(args.programs)):
+        level = os.path.splitext(name)[1][1:]
+        with open(os.path.join(args.programs, name), "r", encoding="utf-8") as handle:
             text = handle.read()
+        found = re.search(r'--init "([^"]*)"', text)
+        init_text = found.group(1) if found else "{}"
         init = parse_relation_literal(init_text)
         result = analyze(parse(text, level=level), init, trace=args.trace)
         print(f"== {name}  (level {level}, init {init_text})")

@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="loop unrolling bound for the soundness check (default: 4)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="seed for randomized workloads (current outputs are deterministic)",
-    )
     return parser
 
 

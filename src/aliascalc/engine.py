@@ -51,19 +51,23 @@ from .lang import (
     Skip,
     expressions_of,
     max_dot_count,
+    one_line,
 )
-from .paths import Path, concat, dot_count, negation, render
+from .paths import Path, concat, dot_count, negation
 from .relations import Relation
 
 Recorder = Callable[[str, Relation], None]
+
+# Safety caps on the two fixpoint iterations.  Both converge on a finite
+# universe, so reaching either one is an internal error.
+MAX_ROUNDS = 1000  # interprocedural rounds
+LOOP_CAP = 100_000  # steps of one loop's accumulation chain
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     mode: str = "may"  # "may" or "must"
     max_dots: Optional[int] = None  # None: derived from the program
-    max_rounds: int = 1000  # interprocedural safety cap
-    loop_cap: int = 100_000  # loop-chain safety cap
 
 
 @dataclass(frozen=True)
@@ -93,32 +97,6 @@ def resolve_max_dots(program: Program, config: AnalysisConfig, init: Relation) -
     for e in rel.elements(init):
         depth = max(depth, dot_count(e))
     return max(depth, 3)
-
-
-def brief(ins: Instruction) -> str:
-    """One-line instruction label for trace output."""
-    if isinstance(ins, Skip):
-        return "skip"
-    if isinstance(ins, Create):
-        return f"create {ins.name}"
-    if isinstance(ins, Forget):
-        return f"forget {ins.name}"
-    if isinstance(ins, Cut):
-        return f"cut {render(ins.left)}, {render(ins.right)}"
-    if isinstance(ins, Assign):
-        return f"{render(ins.target)} := {render(ins.source)}"
-    if isinstance(ins, Cond):
-        return "then ... else ... end"
-    if isinstance(ins, Loop):
-        return "loop ... end"
-    if isinstance(ins, Repeat):
-        return f"iterate {ins.count} ... end"
-    if isinstance(ins, Call):
-        target = f"{render(ins.qualifier)}.{ins.proc}" if ins.qualifier else ins.proc
-        if ins.args:
-            return f"call {target} ({', '.join(render(a) for a in ins.args)})"
-        return f"call {target}"
-    raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
 
 
 class Analysis:
@@ -191,7 +169,7 @@ class Analysis:
             else:
                 out = self.transfer(out, ins)
             if record is not None:
-                record(brief(ins), out)
+                record(one_line(ins), out)
         return out
 
     def loop_fixpoint(
@@ -202,7 +180,7 @@ class Analysis:
         to stabilize within the cap is an internal error, not bad input.
         """
         t = a
-        for n in range(self.config.loop_cap):
+        for n in range(LOOP_CAP):
             if record is not None:
                 record(f"t_{n}", t)
             step = self.combine(t, self.transfer_body(t, body))
@@ -211,7 +189,7 @@ class Analysis:
             t = step
         raise RuntimeError(
             "loop failed to stabilize within "
-            f"{self.config.loop_cap} steps; this is a bug"
+            f"{LOOP_CAP} steps; this is a bug"
         )
 
     # -- calls ----------------------------------------------------------------
@@ -269,7 +247,7 @@ class Analysis:
         main = self.program.procedure(self.program.main)
         entry = rel.bound_filter(self.init, self.max_dots)
         self.summary(main, entry)  # creates the root key
-        for round_no in range(self.config.max_rounds):
+        for round_no in range(MAX_ROUNDS):
             self.rounds = round_no + 1
             before = len(self.table)
             changed = False
@@ -285,7 +263,7 @@ class Analysis:
         else:
             raise RuntimeError(
                 "interprocedural fixpoint failed to stabilize within "
-                f"{self.config.max_rounds} rounds; this is a bug"
+                f"{MAX_ROUNDS} rounds; this is a bug"
             )
         exits: Dict[str, Relation] = {}
         for (name, _), exit_rel in self.table.items():

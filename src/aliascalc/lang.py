@@ -38,6 +38,11 @@ KEYWORDS = {
 
 LEVELS = ("e0", "e1", "e2")
 
+# Deepest nesting of then/loop/iterate blocks the parser accepts.  The
+# parser and the analyses all recurse on nesting, so a fixed fence keeps
+# every one of them inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class SourceError(Exception):
     """Parse or validation failure, carrying a source position."""
@@ -213,6 +218,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.level = level
+        self.depth = 0  # then/loop/iterate blocks open at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -328,24 +334,13 @@ class Parser:
             self.expect("COMMA", "',' between the two cut operands")
             right = self.fenced_path("cut operand")
             return Cut(left, right)
-        if word == "then":
-            self.next()
-            then_branch = self.statements({"else"})
-            self.expect_keyword("else")
-            else_branch = self.statements({"end"})
-            self.expect_keyword("end")
-            return Cond(then_branch, else_branch)
-        if word == "loop":
-            self.next()
-            body = self.statements({"end"})
-            self.expect_keyword("end")
-            return Loop(body)
-        if word == "iterate":
-            self.next()
-            count_tok = self.expect("NUMBER", "an iteration count after 'iterate'")
-            body = self.statements({"end"})
-            self.expect_keyword("end")
-            return Repeat(int(count_tok.text), body)
+        if word in ("then", "loop", "iterate"):
+            if self.depth == MAX_NESTING:
+                raise self.error(f"blocks nested more than {MAX_NESTING} deep", tok)
+            self.depth += 1
+            ins = self.block(word)
+            self.depth -= 1
+            return ins
         if word == "call":
             if self.level == "e0":
                 raise self.error("'call' requires level e1 or higher", tok)
@@ -389,6 +384,24 @@ class Parser:
         self.next()
         source = self.fenced_path("assignment source")
         return Assign(target, source)
+
+    def block(self, word: str) -> Instruction:
+        """A then, loop or iterate block, from its keyword to its 'end'."""
+        self.next()
+        if word == "then":
+            then_branch = self.statements({"else"})
+            self.expect_keyword("else")
+            else_branch = self.statements({"end"})
+            self.expect_keyword("end")
+            return Cond(then_branch, else_branch)
+        if word == "loop":
+            body = self.statements({"end"})
+            self.expect_keyword("end")
+            return Loop(body)
+        count_tok = self.expect("NUMBER", "an iteration count after 'iterate'")
+        body = self.statements({"end"})
+        self.expect_keyword("end")
+        return Repeat(int(count_tok.text), body)
 
     # -- procedures ----------------------------------------------------------
 
@@ -461,8 +474,9 @@ def instructions_of(prog: Program) -> Iterator[Instruction]:
 
 
 def validate(prog: Program) -> None:
-    """Whole-program checks: main shape, call targets, arity, level fences."""
-    level = prog.level
+    """Whole-program checks: distinct procedure names, main shape, call
+    targets and arity.  The level fences are the parser's: it rejects each
+    form above the tier at the token that introduces it."""
     names = [p.name for p in prog.procedures]
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})[0]
@@ -471,35 +485,8 @@ def validate(prog: Program) -> None:
         raise SourceError(f"no procedure named {prog.main!r}")
     if prog.procedure(prog.main).formals:
         raise SourceError(f"{prog.main!r} must not take arguments")
-    if level == "e0" and (
-        len(prog.procedures) > 1 or prog.procedures[0].name != prog.main
-    ):
-        raise SourceError("procedure declarations require level e1 or higher")
-
-    def check_path(p: Path, what: str) -> None:
-        if level != "e2" and len(p) > 1:
-            raise SourceError(
-                f"dotted {what} {render(p)!r} requires level e2"
-            )
-        if level != "e2" and not p:
-            raise SourceError(f"Current as {what} requires level e2")
-
     for ins in instructions_of(prog):
-        if isinstance(ins, Assign):
-            check_path(ins.source, "assignment source")
-        elif isinstance(ins, Cut):
-            check_path(ins.left, "cut operand")
-            check_path(ins.right, "cut operand")
-        elif isinstance(ins, Call):
-            if level == "e0":
-                raise SourceError("'call' requires level e1 or higher")
-            if ins.qualifier and level != "e2":
-                raise SourceError(
-                    f"qualified call 'call {render(ins.qualifier)}.{ins.proc}' "
-                    f"requires level e2"
-                )
-            for arg in ins.args:
-                check_path(arg, "call argument")
+        if isinstance(ins, Call):
             try:
                 callee = prog.procedure(ins.proc)
             except SourceError as exc:
@@ -547,19 +534,35 @@ def max_dot_count(prog: Program) -> int:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
+def one_line(ins: Instruction) -> str:
+    """One-line instruction text; compound bodies are elided as ``...``."""
+    if isinstance(ins, Skip):
+        return "skip"
+    if isinstance(ins, Create):
+        return f"create {ins.name}"
+    if isinstance(ins, Forget):
+        return f"forget {ins.name}"
+    if isinstance(ins, Cut):
+        return f"cut {render(ins.left)}, {render(ins.right)}"
+    if isinstance(ins, Assign):
+        return f"{render(ins.target)} := {render(ins.source)}"
+    if isinstance(ins, Cond):
+        return "then ... else ... end"
+    if isinstance(ins, Loop):
+        return "loop ... end"
+    if isinstance(ins, Repeat):
+        return f"iterate {ins.count} ... end"
+    if isinstance(ins, Call):
+        target = f"{render(ins.qualifier)}.{ins.proc}" if ins.qualifier else ins.proc
+        if ins.args:
+            return f"call {target} ({', '.join(render(a) for a in ins.args)})"
+        return f"call {target}"
+    raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
+
+
 def _fmt_ins(ins: Instruction, indent: int, out: List[str]) -> None:
     pad = "  " * indent
-    if isinstance(ins, Skip):
-        out.append(pad + "skip")
-    elif isinstance(ins, Create):
-        out.append(pad + f"create {ins.name}")
-    elif isinstance(ins, Forget):
-        out.append(pad + f"forget {ins.name}")
-    elif isinstance(ins, Cut):
-        out.append(pad + f"cut {render(ins.left)}, {render(ins.right)}")
-    elif isinstance(ins, Assign):
-        out.append(pad + f"{render(ins.target)} := {render(ins.source)}")
-    elif isinstance(ins, Cond):
+    if isinstance(ins, Cond):
         out.append(pad + "then")
         for sub in ins.then_branch:
             _fmt_ins(sub, indent + 1, out)
@@ -577,14 +580,8 @@ def _fmt_ins(ins: Instruction, indent: int, out: List[str]) -> None:
         for sub in ins.body:
             _fmt_ins(sub, indent + 1, out)
         out.append(pad + "end")
-    elif isinstance(ins, Call):
-        target = render(ins.qualifier) + "." + ins.proc if ins.qualifier else ins.proc
-        if ins.args:
-            out.append(pad + f"call {target} ({', '.join(render(a) for a in ins.args)})")
-        else:
-            out.append(pad + f"call {target}")
-    else:  # pragma: no cover
-        raise TypeError(f"unknown instruction {ins!r}")
+    else:
+        out.append(pad + one_line(ins))
 
 
 def pretty(prog: Program) -> str:

@@ -107,13 +107,3 @@ def modified_vars(program: Program) -> Dict[str, ModSet]:
                 changed = True
         if not changed:
             return env
-
-
-def modified_vars_of_body(
-    body: Sequence[Instruction], program: Program
-) -> ModSet:
-    """Guaranteed-set set of a bare instruction sequence (call-free use
-    works with an empty environment; calls resolve through the program)."""
-    return _body_modset(
-        body, modified_vars(program), program, max(max_dot_count(program), 3)
-    )

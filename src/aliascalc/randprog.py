@@ -68,12 +68,14 @@ def _body(
     allow: FrozenSet[str],
     depth: int,
 ) -> List[Instruction]:
-    forms = [f for f in allow if f in _WEIGHTS]
+    # Iterate the dict, not the frozenset: set order follows the string
+    # hash, which changes from process to process.
+    forms = [f for f in _WEIGHTS if f in allow]
     if depth <= 0:
         forms = [f for f in forms if f not in ("cond", "loop", "repeat")]
     if not forms:
         forms = ["skip"]
-    weights = [_WEIGHTS.get(f, 1) for f in forms]
+    weights = [_WEIGHTS[f] for f in forms]
     out: List[Instruction] = []
     remaining = budget
     while remaining > 0:

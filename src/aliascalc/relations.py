@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .paths import (
-    CURRENT,
     Path,
     concat,
     dot_count,
@@ -72,17 +71,6 @@ def elements(a: Relation) -> FrozenSet[Path]:
     for e, f in a:
         out.add(e)
         out.add(f)
-    return frozenset(out)
-
-
-def partners(a: Relation, e: Path) -> FrozenSet[Path]:
-    """Directly stored partners of e (no completion)."""
-    out: Set[Path] = set()
-    for x, y in a:
-        if x == e:
-            out.add(y)
-        elif y == e:
-            out.add(x)
     return frozenset(out)
 
 
@@ -146,13 +134,13 @@ def _partner_index(a: Relation) -> Dict[Path, Set[Path]]:
     return index
 
 
-def _closure_sets(a: Relation, roots: Iterable[Path], max_dots: int) -> Dict[Path, Set[Path]]:
-    """For each requested path, the set of paths that may denote the same
-    object: the path itself, its stored partners, and every recombination
-    of a split of the path with partners of the two halves.
+def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
+    """All expressions that may denote the same object as y (y included):
+    y itself, its stored partners, and every recombination of a split of
+    y with partners of the two halves.
 
     The recursion is on path length (splits are strictly shorter), with a
-    memo shared across the roots.
+    memo over the sub-paths.
     """
     index = _partner_index(a)
     memo: Dict[Path, Set[Path]] = {}
@@ -180,19 +168,12 @@ def _closure_sets(a: Relation, roots: Iterable[Path], max_dots: int) -> Dict[Pat
         memo[e] = out
         return out
 
-    return {root: closure(root) for root in roots}
-
-
-def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
-    """All expressions that may denote the same object as y (y included)."""
-    return frozenset(_closure_sets(a, [y], max_dots)[y])
+    return frozenset(closure(y))
 
 
 def aliased(a: Relation, e: Path, f: Path, max_dots: int) -> bool:
     """Completion-aware aliasing query between two distinct paths."""
-    if e == f:
-        return False
-    return f in _closure_sets(a, [e], max_dots)[e]
+    return e != f and f in quotient(a, e, max_dots)
 
 
 def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
@@ -238,14 +219,6 @@ def cut_pair(a: Relation, e: Path, f: Path) -> Relation:
     return a - {make_pair(e, f)}
 
 
-def union(a: Relation, b: Relation) -> Relation:
-    return a | b
-
-
-def intersection(a: Relation, b: Relation) -> Relation:
-    return a & b
-
-
 def universal(paths: Iterable[Path]) -> Relation:
     """Complete relation over a finite universe (the must-mode top)."""
     return from_cliques([list(paths)])
@@ -264,10 +237,7 @@ def canonical(a: Relation) -> Tuple[Tuple[Path, ...], ...]:
     the pivoting Bron–Kerbosch search; the output orders elements within a
     clique, and the cliques themselves, by their rendered text.
     """
-    adj: Dict[Path, Set[Path]] = {}
-    for e, f in a:
-        adj.setdefault(e, set()).add(f)
-        adj.setdefault(f, set()).add(e)
+    adj = _partner_index(a)
 
     cliques: List[Set[Path]] = []
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from aliascalc.cli import main
+from aliascalc.lang import MAX_NESTING
 from aliascalc.relations import parse_relation_literal
 
 PROGRAMS = "programs"
@@ -133,6 +134,57 @@ def test_trace_output_straight_line(capsys, monkeypatch):
         "-- Main from {}",
         "  x := y  =>  {x, y}",
         "  z := x  =>  {x, y, z}",
+    ]
+
+
+def test_trace_labels_cover_every_form(capsys, monkeypatch):
+    program = "\n".join([
+        "procedure Main",
+        "  skip",
+        "  create u",
+        "  forget v",
+        "  cut a, b",
+        "  x := y.a",
+        "  then a := x else skip end",
+        "  loop y := a end",
+        "  iterate 2 b := y end",
+        "  call p",
+        "  call x.q (a, Current)",
+        "end",
+        "procedure p",
+        "  skip",
+        "end",
+        "procedure q (c, d)",
+        "  e := c",
+        "end",
+    ])
+    code, out, _ = run_cli(
+        ["--output", "trace"],
+        stdin_text=program,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "-- Main from {}",
+        "  skip  =>  {}",
+        "  create u  =>  {}",
+        "  forget v  =>  {}",
+        "  cut a, b  =>  {}",
+        "  x := y.a  =>  {x, y.a}",
+        "  then ... else ... end  =>  {a, x, y.a}",
+        "  t_0  =>  {a, x, y.a}",
+        "  t_1  =>  {a, x, y}, {a, x, y.a}",
+        "  loop ... end  =>  {a, x, y}, {a, x, y.a}",
+        "  iterate 2 ... end  =>  {a, b, x, y}, {a, x, y.a}",
+        "  call p  =>  {a, b, x, y}, {a, x, y.a}",
+        "  call x.q (a, Current)  =>  {a, b, x, x.e, y}, {a, x, x.e, y.a}",
+        "-- p from {a, b, x, y}, {a, x, y.a}",
+        "  skip  =>  {a, b, x, y}, {a, x, y.a}",
+        "-- q from {c, x'.a}, {d, x'}",
+        "  e := c  =>  {c, e, x'.a}, {d, x'}",
+        "-- q from {Current, c, x'.a, x'.b, x'.y}, {Current, c, x'.a, x'.y.a}, {d, x'}",
+        "  e := c  =>  {Current, c, e, x'.a, x'.b, x'.y}, {Current, c, e, x'.a, x'.y.a}, {d, x'}",
     ]
 
 
@@ -314,6 +366,31 @@ def test_level_fence_diagnostic_position(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("<stdin>:1:6:")
     assert "requires level e2" in err
+
+
+def test_nesting_beyond_limit_is_a_diagnostic(capsys, monkeypatch):
+    # 500 nested blocks used to overflow the parser, 330 nested loops the
+    # engine; either way the first block past the limit is reported.
+    col = 5 * MAX_NESTING + 1
+    for text in ("then " * 500 + "skip" + " else end" * 500,
+                 "loop " * 330 + "skip" + " end" * 330):
+        code, out, err = run_cli(
+            ["--level", "e0"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"<stdin>:1:{col}: blocks nested more than {MAX_NESTING} deep\n"
+
+
+def test_nesting_at_limit_analyses(capsys, monkeypatch):
+    n = MAX_NESTING
+    for text in ("then " * n + "x := y" + " else end" * n,
+                 "loop " * n + "x := y" + " end" * n):
+        code, out, _ = run_cli(
+            ["--level", "e0"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        assert out == "{x, y}\n"
 
 
 # -- installed entry point ------------------------------------------------------------

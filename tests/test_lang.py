@@ -166,14 +166,23 @@ def test_main_must_exist_and_take_no_arguments():
 
 
 def test_level_fences():
-    with pytest.raises(SourceError):
-        parse("call q", level="e0")
-    with pytest.raises(SourceError):
-        parse("procedure Main\n skip\nend", level="e0")
-    with pytest.raises(SourceError):
-        parse("x := y.a", level="e1")
-    with pytest.raises(SourceError):
-        parse("procedure Main\n call x.q\nend\nprocedure q\n skip\nend", level="e1")
+    cases = [
+        ("call q", "e0", "'call' requires level e1 or higher", 1, 1),
+        ("procedure Main\n skip\nend", "e0",
+         "procedure declarations require level e1 or higher", 1, 1),
+        ("x := y.a", "e1", "dotted assignment source 'y.a' requires level e2", 1, 6),
+        ("x := Current", "e1", "Current as assignment source requires level e2", 1, 6),
+        ("cut x, Current", "e0", "Current as cut operand requires level e2", 1, 8),
+        ("cut x.a, y", "e1", "dotted cut operand 'x.a' requires level e2", 1, 5),
+        ("procedure Main\n call q (Current)\nend\nprocedure q (f)\n skip\nend", "e1",
+         "Current as call argument requires level e2", 2, 10),
+        ("procedure Main\n call x.q\nend\nprocedure q\n skip\nend", "e1",
+         "qualified call 'call x.q' requires level e2", 2, 2),
+    ]
+    for text, level, message, line, col in cases:
+        with pytest.raises(SourceError) as err:
+            parse(text, level=level)
+        assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
     # The same texts are fine one tier up.
     parse("procedure Main\n skip\nend", level="e1")
     parse("x := y.a", level="e2")

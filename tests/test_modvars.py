@@ -1,5 +1,5 @@
 from aliascalc.lang import parse
-from aliascalc.modvars import modified_vars, modified_vars_of_body
+from aliascalc.modvars import modified_vars
 from aliascalc.paths import render
 
 
@@ -85,12 +85,6 @@ def test_qualified_recursion_stays_bounded():
     texts = {render(p) for p in sets["q"]}
     assert "a" in texts
     assert all(p.count(".") <= 3 for p in texts)
-
-
-def test_body_helper_matches_table():
-    prog = parse("x := y ; create z", level="e0")
-    body = prog.procedure("Main").body
-    assert modified_vars_of_body(body, prog) == modified_vars(prog)["Main"]
 
 
 def test_cut_ignores_dotted_operands():

@@ -6,7 +6,10 @@ follow the project's acceptance bar (1000 cases for the algebraic laws,
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 from aliascalc.engine import AnalysisConfig, analyze
 from aliascalc.lang import (
@@ -260,6 +263,29 @@ def test_generator_is_deterministic():
     a = corpus(20)
     b = corpus(20)
     assert a == b
+
+
+def test_generator_is_independent_of_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED; the same seed must give
+    # the same programs in every process, or failures would not replay.
+    script = (
+        "import random\n"
+        "from aliascalc.lang import pretty\n"
+        "from aliascalc.randprog import random_program\n"
+        "rng = random.Random(0)\n"
+        "for _ in range(50):\n"
+        "    print(pretty(random_program(rng)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_generator_respects_allow():

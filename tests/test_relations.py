@@ -16,7 +16,6 @@ from aliascalc.relations import (
     from_pairs,
     make_pair,
     parse_relation_literal,
-    partners,
     prefix_relation,
     quotient,
     render_relation,

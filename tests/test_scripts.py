@@ -1,0 +1,41 @@
+"""Smoke tests of the two scripts under scripts/, run as a user would."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROGRAMS = os.path.join(ROOT, "programs")
+
+
+def run_script(name, *args, hash_seed="0"):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_run_examples_covers_every_fixture_with_its_header_init():
+    proc = run_script("run_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for name in sorted(os.listdir(PROGRAMS)):
+        with open(os.path.join(PROGRAMS, name), encoding="utf-8") as handle:
+            found = re.search(r'--init "([^"]*)"', handle.read())
+        init = found.group(1) if found else "{}"
+        expected.append(f"== {name}  (level {name[-2:]}, init {init})")
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("==")]
+    assert headers == expected
+
+
+def test_fuzz_soundness_is_clean_and_reproducible():
+    first = run_script("fuzz_soundness.py", "--trials", "30", "--seed", "0", hash_seed="1")
+    second = run_script("fuzz_soundness.py", "--trials", "30", "--seed", "0", hash_seed="2")
+    assert first.returncode == 0, first.stdout + first.stderr
+    assert second.returncode == 0, second.stdout + second.stderr
+    assert first.stdout == second.stdout
+    assert "30 trials" in first.stdout
