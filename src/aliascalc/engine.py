@@ -10,7 +10,8 @@ The transfer of a relation through an instruction follows one rule per form:
 * sequence — left fold.
 * ``then p else q end`` — union of the two branch results in may mode,
   intersection in must mode (there is no condition to test).
-* ``iterate n`` — n-fold application.
+* ``iterate n`` — n-fold application, cut short once a pass leaves the
+  relation unchanged.
 * ``loop`` — least (may) / greatest (must) fixpoint of the one-step
   extension, reached in finitely many steps because the pair universe is
   finite and the step is monotone.
@@ -23,17 +24,22 @@ The transfer of a relation through an instruction follows one rule per form:
   negated segment — both meaningless to the caller — are dropped.
 
 Interprocedural analysis caches one exit relation per (procedure, entry
-relation) pair and iterates the whole table to a fixpoint, so mutually
-recursive procedures converge; a re-entered key simply serves its current
-value.  In may mode fresh keys start empty and exits only grow; in must
-mode they start at the full relation over the program's expressions and
-only shrink.
+relation) pair and drives the table to a fixpoint with a worklist: a key's
+body is re-run only when it is new or when the exit of a key it looked up
+has changed, so mutually recursive procedures converge; a re-entered key
+simply serves its current value.  In may mode fresh keys start empty and
+exits only grow; in must mode they start at the full relation over the
+program's expressions and only shrink.  Once the worklist is empty, only
+the keys reachable from main's entry are kept: contexts created from
+intermediate values of the fixpoint are dropped, so neither the trace nor
+the per-procedure exits see them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import relations as rel
 from .lang import (
@@ -57,10 +63,11 @@ from .paths import Path, concat, dot_count, negation
 from .relations import Relation
 
 Recorder = Callable[[str, Relation], None]
+Key = Tuple[str, Relation]  # (procedure name, entry relation)
 
 # Safety caps on the two fixpoint iterations.  Both converge on a finite
 # universe, so reaching either one is an internal error.
-MAX_ROUNDS = 1000  # interprocedural rounds
+MAX_ROUNDS = 1000  # body evaluations of one summary key
 LOOP_CAP = 100_000  # steps of one loop's accumulation chain
 
 
@@ -103,7 +110,9 @@ class Analysis:
     """One analysis run over one program.
 
     The summary table maps (procedure name, entry relation) to the exit
-    relation current at this point of the fixpoint computation.
+    relation current at this point of the fixpoint computation.  ``calls``
+    maps each evaluated key to the keys its last body evaluation looked
+    up; ``queue`` holds, in FIFO order, the keys whose body must run again.
     """
 
     def __init__(self, program: Program, config: AnalysisConfig = AnalysisConfig(),
@@ -112,7 +121,10 @@ class Analysis:
         self.config = config
         self.init = init
         self.max_dots = resolve_max_dots(program, config, init)
-        self.table: Dict[Tuple[str, Relation], Relation] = {}
+        self.table: Dict[Key, Relation] = {}
+        self.calls: Dict[Key, Set[Key]] = {}
+        self.queue: Deque[Key] = deque()
+        self.evaluating: Optional[Key] = None
         self.rounds = 0
         if config.mode == "may":
             self._seed = rel.EMPTY
@@ -147,9 +159,14 @@ class Analysis:
                 self.transfer_body(a, ins.else_branch),
             )
         if isinstance(ins, Repeat):
+            # The table is fixed during one body evaluation, so a pass that
+            # returns its input unchanged would do so on every later pass.
             out = a
             for _ in range(ins.count):
-                out = self.transfer_body(out, ins.body)
+                step = self.transfer_body(out, ins.body)
+                if step == out:
+                    break
+                out = step
             return out
         if isinstance(ins, Loop):
             return self.loop_fixpoint(a, ins.body)
@@ -198,13 +215,18 @@ class Analysis:
         """Exit relation for running proc from entry, per the current table.
 
         A missing key is seeded (empty in may mode, full in must mode) and
-        queued for evaluation by the driving rounds; a key already being
+        queued for evaluation by the worklist; a key already being
         evaluated serves its current value, which is what makes recursion
-        converge instead of diverging.
+        converge instead of diverging.  The lookup is recorded as an edge
+        from the key under evaluation, so that a change to this key's exit
+        re-queues it.
         """
         key = (proc.name, entry)
         if key not in self.table:
             self.table[key] = self._seed
+            self.queue.append(key)
+        if self.evaluating is not None:
+            self.calls[self.evaluating].add(key)
         return self.table[key]
 
     def call_unqualified(self, a: Relation, ins: Call) -> Relation:
@@ -244,27 +266,41 @@ class Analysis:
     # -- whole-program -----------------------------------------------------
 
     def run(self) -> AnalysisResult:
+        """Drive the summary table to its fixpoint with a FIFO worklist, then
+        keep only the keys reachable from main's entry along the lookups of
+        each key's last evaluation.  ``rounds`` is the most evaluations of
+        any single key."""
         main = self.program.procedure(self.program.main)
         entry = rel.bound_filter(self.init, self.max_dots)
-        self.summary(main, entry)  # creates the root key
-        for round_no in range(MAX_ROUNDS):
-            self.rounds = round_no + 1
-            before = len(self.table)
-            changed = False
-            for key in list(self.table):
-                name, key_entry = key
-                body = self.program.procedure(name).body
-                exit_rel = self.transfer_body(key_entry, body)
-                if exit_rel != self.table[key]:
-                    self.table[key] = exit_rel
-                    changed = True
-            if not changed and len(self.table) == before:
-                break
-        else:
-            raise RuntimeError(
-                "interprocedural fixpoint failed to stabilize within "
-                f"{MAX_ROUNDS} rounds; this is a bug"
-            )
+        root = (main.name, entry)
+        self.summary(main, entry)  # creates and queues the root key
+        evaluations: Dict[Key, int] = {}
+        while self.queue:
+            key = self.queue.popleft()
+            count = evaluations[key] = evaluations.get(key, 0) + 1
+            if count > MAX_ROUNDS:
+                raise RuntimeError(
+                    "interprocedural fixpoint failed to stabilize within "
+                    f"{MAX_ROUNDS} evaluations of one summary key; this is a bug"
+                )
+            self.calls[key] = set()
+            self.evaluating = key
+            exit_rel = self.transfer_body(key[1], self.program.procedure(key[0]).body)
+            if exit_rel != self.table[key]:
+                self.table[key] = exit_rel
+                for caller, callees in self.calls.items():
+                    if key in callees and caller not in self.queue:
+                        self.queue.append(caller)
+        self.evaluating = None
+        self.rounds = max(evaluations.values())
+        live = {root}
+        todo = [root]
+        while todo:
+            for callee in self.calls[todo.pop()]:
+                if callee not in live:
+                    live.add(callee)
+                    todo.append(callee)
+        self.table = {key: exit_rel for key, exit_rel in self.table.items() if key in live}
         exits: Dict[str, Relation] = {}
         for (name, _), exit_rel in self.table.items():
             if name in exits:
@@ -272,7 +308,7 @@ class Analysis:
             else:
                 exits[name] = exit_rel
         return AnalysisResult(
-            relation=self.table[(main.name, entry)],
+            relation=self.table[root],
             procedure_exits=exits,
             summary_keys=len(self.table),
             rounds=self.rounds,

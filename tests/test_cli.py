@@ -181,8 +181,6 @@ def test_trace_labels_cover_every_form(capsys, monkeypatch):
         "  call x.q (a, Current)  =>  {a, b, x, x.e, y}, {a, x, x.e, y.a}",
         "-- p from {a, b, x, y}, {a, x, y.a}",
         "  skip  =>  {a, b, x, y}, {a, x, y.a}",
-        "-- q from {c, x'.a}, {d, x'}",
-        "  e := c  =>  {c, e, x'.a}, {d, x'}",
         "-- q from {Current, c, x'.a, x'.b, x'.y}, {Current, c, x'.a, x'.y.a}, {d, x'}",
         "  e := c  =>  {Current, c, e, x'.a, x'.b, x'.y}, {Current, c, e, x'.a, x'.y.a}, {d, x'}",
     ]

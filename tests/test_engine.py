@@ -1,6 +1,14 @@
+import os
+import re
+import time
+from collections import deque
+
 import pytest
 
+from aliascalc import relations as rel
 from aliascalc.engine import (
+    MAX_ROUNDS,
+    Analysis,
     AnalysisConfig,
     analyze,
     resolve_max_dots,
@@ -16,6 +24,8 @@ from aliascalc.relations import (
 )
 
 MUST = AnalysisConfig(mode="must")
+PROGRAMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "programs")
+FIXTURES = sorted(os.listdir(PROGRAMS))
 
 
 def run(text, init="{}", level="e2", config=AnalysisConfig()):
@@ -92,6 +102,15 @@ def test_iterate_oscillation():
     assert expected[4] == expected[2]
 
 
+def test_iterate_stops_once_the_relation_is_stable():
+    nested = "iterate 30 " * 4 + "x := y" + " end" * 4
+    for text in ["iterate 1000000 x := y end", nested]:
+        start = time.perf_counter()
+        got = result_text(text, "{y,z}", level="e0")
+        assert time.perf_counter() - start < 1
+        assert got == result_text("iterate 2 x := y end", "{y,z}", level="e0")
+
+
 def test_loop_accumulates_to_fixpoint():
     got = result_text("loop x := y ; y := z ; z := x end", "{c,y},{d,z}")
     assert got == "{c, x, z}, {c, y}, {d, x, z}, {d, y}"
@@ -151,6 +170,115 @@ def test_exit_relations_cover_every_procedure():
     res = run(open("programs/mutual_recursion.e1").read(), level="e1")
     assert set(res.procedure_exits) == {"Main", "q"}
     assert res.procedure_exits["Main"] == res.relation
+
+
+# -- the summary driver -----------------------------------------------------------------
+
+class RoundRobin(Analysis):
+    """The every-key-every-round driver the worklist replaced: each round
+    re-runs the body of every key ever created, until a round changes no
+    exit and creates no key.  Returns Main's relation."""
+
+    def run(self):
+        main = self.program.procedure(self.program.main)
+        root = (main.name, rel.bound_filter(self.init, self.max_dots))
+        self.summary(main, root[1])
+        for _ in range(MAX_ROUNDS):
+            before = len(self.table)
+            changed = False
+            for key in list(self.table):
+                exit_rel = self.transfer_body(key[1], self.program.procedure(key[0]).body)
+                if exit_rel != self.table[key]:
+                    self.table[key] = exit_rel
+                    changed = True
+            if not changed and len(self.table) == before:
+                return self.table[root]
+        raise RuntimeError("round-robin driver did not stabilize")
+
+
+def fixture_analysis(name, mode, driver=Analysis):
+    with open(os.path.join(PROGRAMS, name), encoding="utf-8") as handle:
+        text = handle.read()
+    found = re.search(r'--init "([^"]*)"', text)
+    init = lit(found.group(1) if found else "{}")
+    return driver(parse(text, level=name.rsplit(".", 1)[1]), AnalysisConfig(mode=mode), init)
+
+
+def replay_lookups(analysis, key):
+    """Run key's body once against the final table; return the exit and
+    the keys the body looked up."""
+    looked_up = set()
+    summary = analysis.summary
+
+    def recording(proc, entry):
+        looked_up.add((proc.name, entry))
+        return summary(proc, entry)
+
+    analysis.summary = recording
+    try:
+        exit_rel = analysis.transfer_body(key[1], analysis.program.procedure(key[0]).body)
+    finally:
+        del analysis.summary
+    return exit_rel, looked_up
+
+
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_worklist_agrees_with_round_robin_driver(name, mode):
+    analysis = fixture_analysis(name, mode)
+    result = analysis.run()
+    reference = fixture_analysis(name, mode, RoundRobin)
+    assert result.relation == reference.run()
+    for key, exit_rel in analysis.table.items():
+        assert reference.table[key] == exit_rel
+
+
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_summary_key_is_reachable_from_main(name, mode):
+    analysis = fixture_analysis(name, mode)
+    analysis.run()
+    table = dict(analysis.table)
+    edges = {}
+    for key, exit_rel in table.items():
+        replayed, edges[key] = replay_lookups(analysis, key)
+        assert replayed == exit_rel
+    assert analysis.table == table  # the replay created no key
+    root = next(iter(table))
+    assert root[0] == "Main"
+    live, todo = {root}, [root]
+    while todo:
+        for callee in edges[todo.pop()] - live:
+            live.add(callee)
+            todo.append(callee)
+    assert live == set(table)
+
+
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_visit_order_does_not_change_the_result(name, mode):
+    class Stack(deque):
+        popleft = deque.pop  # last in, first out
+
+    fifo = fixture_analysis(name, mode)
+    lifo = fixture_analysis(name, mode)
+    lifo.queue = Stack()
+    want, got = fifo.run(), lifo.run()
+    assert (got.relation, got.procedure_exits) == (want.relation, want.procedure_exits)
+    assert lifo.table == fifo.table
+
+
+def test_stale_contexts_are_dropped():
+    result = fixture_analysis("mutual_recursion_large.e1", "may").run()
+    assert result.summary_keys == 14
+
+
+def test_must_exit_folds_only_reachable_contexts():
+    # A context left over from an earlier value of the fixpoint, intersected
+    # in, would drop the second group.
+    result = fixture_analysis("linked_lists.e2", "must").run()
+    exit_rel = render_relation(result.procedure_exits["set_right"])
+    assert exit_rel == "{c, last'.new, right}, {last'.a, last'.new.item}"
 
 
 # -- dotted expressions and qualified calls ------------------------------------------
