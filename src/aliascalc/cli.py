@@ -88,9 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_source(file_arg: Optional[str]) -> Tuple[str, str]:
+    """The source text and its display name.  A byte that is not UTF-8
+    decodes to a lone surrogate, as on standard input, so the tokenizer
+    reports it with its position instead of the decoder raising."""
     if file_arg is None or file_arg == "-":
         return sys.stdin.read(), "<stdin>"
-    with open(file_arg, "r", encoding="utf-8") as handle:
+    with open(file_arg, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read(), file_arg
 
 

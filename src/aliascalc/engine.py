@@ -10,8 +10,9 @@ The transfer of a relation through an instruction follows one rule per form:
 * sequence — left fold.
 * ``then p else q end`` — union of the two branch results in may mode,
   intersection in must mode (there is no condition to test).
-* ``iterate n`` — n-fold application, cut short once a pass leaves the
-  relation unchanged.
+* ``iterate n`` — n-fold application.  The relations seen are remembered
+  with their pass index; once one recurs the passes cycle, and the result
+  is read off the cycle instead of running the rest.
 * ``loop`` — least (may) / greatest (must) fixpoint of the one-step
   extension, reached in finitely many steps because the pair universe is
   finite and the step is monotone.
@@ -33,6 +34,15 @@ program's expressions and only shrink.  Once the worklist is empty, only
 the keys reachable from main's entry are kept: contexts created from
 intermediate values of the fixpoint are dropped, so neither the trace nor
 the per-procedure exits see them.
+
+A re-run body mostly meets the relations it met before, so each analysis
+memoizes the transfers that do not read the summary table, keyed by
+(instruction, input relation): atomic instructions, compound instructions
+whose bodies contain no call, and the two table-free halves of a call (the
+formal binding and view shift on entry, the shift back and cleaning on
+exit).  A call is never memoized as a whole: its summary lookup must run
+every time, because that lookup is how the worklist learns which keys
+depend on which.
 """
 
 from __future__ import annotations
@@ -113,6 +123,15 @@ class Analysis:
     relation current at this point of the fixpoint computation.  ``calls``
     maps each evaluated key to the keys its last body evaluation looked
     up; ``queue`` holds, in FIFO order, the keys whose body must run again.
+
+    ``memo`` maps (instruction id, input relation) to the output of every
+    transfer that does not read the table, so it stays valid while the
+    table changes and is shared by all keys and loop passes; it lives as
+    long as this object.  Instructions are keyed by identity, which holds
+    for the program's own and for any body the caller keeps alive while it
+    uses the analysis.  Calls are not memoized as a whole (only their
+    table-free halves), nor are compound instructions containing one:
+    ``summary`` must see every lookup to record the worklist's edges.
     """
 
     def __init__(self, program: Program, config: AnalysisConfig = AnalysisConfig(),
@@ -126,6 +145,11 @@ class Analysis:
         self.queue: Deque[Key] = deque()
         self.evaluating: Optional[Key] = None
         self.rounds = 0
+        self.memo: Dict[Tuple[object, ...], Relation] = {}
+        # ids of the program's compound instructions that contain no call
+        self._call_free: Set[int] = set()
+        for proc in program.procedures:
+            _mark_call_free(proc.body, self._call_free)
         if config.mode == "may":
             self._seed = rel.EMPTY
         elif config.mode == "must":
@@ -145,6 +169,20 @@ class Analysis:
     # -- transfer ------------------------------------------------------------
 
     def transfer(self, a: Relation, ins: Instruction) -> Relation:
+        if isinstance(ins, Call):
+            if ins.qualifier:
+                return self.call_qualified(a, ins)
+            return self.call_unqualified(a, ins)
+        if isinstance(ins, (Cond, Loop, Repeat)) and id(ins) not in self._call_free:
+            return self._apply(a, ins)
+        key = (id(ins), a)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._apply(a, ins)
+        return out
+
+    def _apply(self, a: Relation, ins: Instruction) -> Relation:
+        """The transfer rule of one instruction other than a call."""
         if isinstance(ins, Skip):
             return a
         if isinstance(ins, (Create, Forget)):
@@ -159,21 +197,22 @@ class Analysis:
                 self.transfer_body(a, ins.else_branch),
             )
         if isinstance(ins, Repeat):
-            # The table is fixed during one body evaluation, so a pass that
-            # returns its input unchanged would do so on every later pass.
+            # The table is fixed during one body evaluation, so a pass is a
+            # function of its input: once a relation recurs, the passes
+            # cycle with period n - first, and the relation after all
+            # count passes is one already seen (list(seen) is the history,
+            # in pass order).
+            seen: Dict[Relation, int] = {}  # relation -> passes before it
             out = a
-            for _ in range(ins.count):
-                step = self.transfer_body(out, ins.body)
-                if step == out:
-                    break
-                out = step
+            for n in range(ins.count):
+                first = seen.get(out)
+                if first is not None:
+                    return list(seen)[first + (ins.count - first) % (n - first)]
+                seen[out] = n
+                out = self.transfer_body(out, ins.body)
             return out
         if isinstance(ins, Loop):
             return self.loop_fixpoint(a, ins.body)
-        if isinstance(ins, Call):
-            if ins.qualifier:
-                return self.call_qualified(a, ins)
-            return self.call_unqualified(a, ins)
         raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
 
     def transfer_body(
@@ -231,37 +270,48 @@ class Analysis:
 
     def call_unqualified(self, a: Relation, ins: Call) -> Relation:
         proc = self.program.procedure(ins.proc)
-        entry = rel.subst_list(
-            a, [(f,) for f in proc.formals], list(ins.args), self.max_dots
-        )
+        key = (id(ins), a)
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = rel.subst_list(
+                a, [(f,) for f in proc.formals], list(ins.args), self.max_dots
+            )
         return self.summary(proc, entry)
 
     def call_qualified(self, a: Relation, ins: Call) -> Relation:
         proc = self.program.procedure(ins.proc)
         target = ins.qualifier
         back = negation(target)
-        # The caller's relation, seen from the callee.
-        inside = rel.prefix_relation(a, back, self.max_dots)
-        # Formals receive the actuals as the callee sees them.
-        entry = rel.subst_list(
-            inside,
-            [(f,) for f in proc.formals],
-            [concat(back, arg) for arg in ins.args],
-            self.max_dots,
-        )
+        key = (id(ins), a)
+        entry = self.memo.get(key)
+        if entry is None:
+            # The caller's relation, seen from the callee.
+            inside = rel.prefix_relation(a, back, self.max_dots)
+            # Formals receive the actuals as the callee sees them.
+            entry = self.memo[key] = rel.subst_list(
+                inside,
+                [(f,) for f in proc.formals],
+                [concat(back, arg) for arg in ins.args],
+                self.max_dots,
+            )
         exit_rel = self.summary(proc, entry)
-        # Back to the caller's frame.
-        outside = rel.prefix_relation(exit_rel, target, self.max_dots)
-        # Pairs mentioning a formal under the target, or a residual negated
-        # segment, mean nothing to the caller once the call has returned.
-        formal_roots = [concat(target, (f,)) for f in proc.formals]
-        cleaned = frozenset(
-            (e, f)
-            for e, f in outside
-            if not any(_starts_with(e, root) or _starts_with(f, root)
-                       for root in formal_roots)
-        )
-        return rel.drop_negated(cleaned)
+        key = (id(ins), "exit", exit_rel)
+        out = self.memo.get(key)
+        if out is None:
+            # Back to the caller's frame.
+            outside = rel.prefix_relation(exit_rel, target, self.max_dots)
+            # Pairs mentioning a formal under the target, or a residual
+            # negated segment, mean nothing to the caller once the call has
+            # returned.
+            formal_roots = [concat(target, (f,)) for f in proc.formals]
+            cleaned = frozenset(
+                (e, f)
+                for e, f in outside
+                if not any(_starts_with(e, root) or _starts_with(f, root)
+                           for root in formal_roots)
+            )
+            out = self.memo[key] = rel.drop_negated(cleaned)
+        return out
 
     # -- whole-program -----------------------------------------------------
 
@@ -330,6 +380,27 @@ class Analysis:
             self.transfer_body(key_entry, body, record)
         result.trace = points
         return result
+
+
+def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
+    """Add to call_free the ids of body's compound instructions that
+    contain no call, at any depth; return whether body contains none."""
+    free = True
+    for ins in body:
+        if isinstance(ins, Call):
+            free = False
+            continue
+        if isinstance(ins, Cond):
+            inner = [_mark_call_free(b, call_free) for b in (ins.then_branch, ins.else_branch)]
+        elif isinstance(ins, (Loop, Repeat)):
+            inner = [_mark_call_free(ins.body, call_free)]
+        else:
+            continue
+        if all(inner):
+            call_free.add(id(ins))
+        else:
+            free = False
+    return free
 
 
 def _starts_with(path: Path, prefix: Path) -> bool:

@@ -342,6 +342,17 @@ def test_parse_error_from_stdin_names_stdin(capsys, monkeypatch):
     assert "requires level e1" in err
 
 
+def test_non_utf8_file_is_a_diagnostic(tmp_path, capsys):
+    # The decoder used to raise UnicodeDecodeError, a traceback with exit 1;
+    # the same bytes on standard input already gave a positioned diagnostic.
+    bad = tmp_path / "bytes.e0"
+    bad.write_bytes(b"x := y\n\xff\n")
+    code, out, err = run_cli([str(bad), "--level", "e0"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{bad}:2:1: unexpected character")
+
+
 def test_setter_hint_diagnostic(capsys, monkeypatch):
     code, _, err = run_cli(
         [],

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import time
 from collections import deque
@@ -14,8 +15,9 @@ from aliascalc.engine import (
     resolve_max_dots,
     transfer_instructions,
 )
-from aliascalc.lang import Assign, Call, Procedure, Program, parse
+from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, parse
 from aliascalc.paths import parse_path, var
+from aliascalc.randprog import random_program
 from aliascalc.relations import (
     EMPTY,
     make_pair,
@@ -109,6 +111,33 @@ def test_iterate_stops_once_the_relation_is_stable():
         got = result_text(text, "{y,z}", level="e0")
         assert time.perf_counter() - start < 1
         assert got == result_text("iterate 2 x := y end", "{y,z}", level="e0")
+
+
+def test_iterate_jumps_over_a_periodic_body():
+    # Period two: every pass used to run, and the second count never ended.
+    body = "x := y ; y := z ; z := x"
+    for n, like in [(100000, 4), (99999999999999999999999, 3)]:
+        start = time.perf_counter()
+        got = result_text(f"iterate {n} {body} end", "{c,y},{d,z}", level="e0")
+        assert time.perf_counter() - start < 1
+        assert got == result_text(f"iterate {like} {body} end", "{c,y},{d,z}", level="e0")
+
+
+@pytest.mark.parametrize("body, init, period", [
+    ("x := y", "{y,z}", 1),
+    ("x := y ; y := z ; z := x", "{c,y},{d,z}", 2),
+    ("t := a ; a := b ; b := c ; c := t", "{a,p},{b,q},{c,r}", 3),
+])
+def test_iterate_agrees_with_naive_passes(body, init, period):
+    prog = parse(body, level="e0")
+    naive = [lit(init)]
+    for _ in range(12):
+        naive.append(transfer_instructions(prog, prog.procedure("Main").body, naive[-1]))
+    # The body's effect cycles with the stated period from the first pass on.
+    assert len(set(naive[1:1 + period])) == period
+    assert naive[1 + period] == naive[1]
+    for n in range(1, 13):
+        assert run(f"iterate {n} {body} end", init, level="e0").relation == naive[n]
 
 
 def test_loop_accumulates_to_fixpoint():
@@ -279,6 +308,108 @@ def test_must_exit_folds_only_reachable_contexts():
     result = fixture_analysis("linked_lists.e2", "must").run()
     exit_rel = render_relation(result.procedure_exits["set_right"])
     assert exit_rel == "{c, last'.new, right}, {last'.a, last'.new.item}"
+
+
+# -- the transfer memo ------------------------------------------------------------------
+
+class _Forgetful(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class NoMemo(Analysis):
+    """Computes every transfer directly: its memo never keeps an entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memo = _Forgetful()
+
+
+def outcome(analysis, trace):
+    result = analysis.run_with_trace() if trace else analysis.run()
+    return (result.relation, result.procedure_exits, result.summary_keys,
+            result.rounds, result.trace)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_memo_agrees_with_direct_transfers(name, mode, trace):
+    want = outcome(fixture_analysis(name, mode, NoMemo), trace)
+    assert outcome(fixture_analysis(name, mode), trace) == want
+
+
+def with_calls(rng):
+    """Three procedures made of a random program's body plus a call to a
+    random procedure inside a branch and inside a loop, so that calls,
+    recursion and call-bearing compounds all occur."""
+    names = ["Main", "p", "q"]
+    procs = []
+    for name in names:
+        body = random_program(rng, max_instructions=6, max_vars=4).procedure("Main").body
+        branch = Cond(then_branch=(Call((), rng.choice(names[1:])),), else_branch=body[:1])
+        loop = Loop(body=body[-1:] + (Call((), rng.choice(names[1:])),))
+        procs.append(Procedure(name=name, formals=(), body=body + (branch, loop)))
+    return Program(procedures=tuple(procs), level="e1")
+
+
+def test_memo_agrees_with_direct_transfers_on_random_programs():
+    rng = random.Random(20101)
+    init = lit("{a,b},{c,d}")
+    for i in range(240):
+        prog = random_program(rng) if i % 2 else with_calls(rng)
+        config = AnalysisConfig(mode=("may", "must")[i // 2 % 2])
+        trace = i % 3 == 0
+        want = outcome(NoMemo(prog, config, init), trace)
+        assert outcome(Analysis(prog, config, init), trace) == want
+
+
+def counted_calls(monkeypatch, attr, analysis):
+    calls = [0]
+    original = getattr(rel, attr)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(rel, attr, counting)
+    analysis.run()
+    return calls[0]
+
+
+def test_memo_cuts_repeated_substitutions(monkeypatch):
+    name = "mutual_recursion_large.e1"
+    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may")) == 320
+    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may", NoMemo)) == 1106
+
+
+def test_memo_cuts_repeated_view_shifts(monkeypatch):
+    name = "linked_lists.e2"
+    assert counted_calls(monkeypatch, "prefix_relation", fixture_analysis(name, "may")) == 47
+    assert counted_calls(
+        monkeypatch, "prefix_relation", fixture_analysis(name, "may", NoMemo)) == 170
+
+
+def lookups(analysis):
+    """Run the analysis; return the key of every summary lookup, in order."""
+    seen = []
+    summary = analysis.summary
+
+    def recording(proc, entry):
+        seen.append((proc.name, entry))
+        return summary(proc, entry)
+
+    analysis.summary = recording
+    analysis.run()
+    return seen
+
+
+def test_calls_are_looked_up_on_every_evaluation():
+    # The memo covers the table-free parts only: every call still reaches
+    # summary, so the worklist keeps its edges.
+    name = "mutual_recursion_large.e1"
+    memoized = lookups(fixture_analysis(name, "may"))
+    assert memoized == lookups(fixture_analysis(name, "may", NoMemo))
 
 
 # -- dotted expressions and qualified calls ------------------------------------------
