@@ -69,7 +69,7 @@ from .lang import (
     max_dot_count,
     one_line,
 )
-from .paths import Path, concat, dot_count, negation
+from .paths import concat, dot_count, has_negation, negation
 from .relations import Relation
 
 Recorder = Callable[[str, Relation], None]
@@ -302,15 +302,16 @@ class Analysis:
             outside = rel.prefix_relation(exit_rel, target, self.max_dots)
             # Pairs mentioning a formal under the target, or a residual
             # negated segment, mean nothing to the caller once the call has
-            # returned.
-            formal_roots = [concat(target, (f,)) for f in proc.formals]
-            cleaned = frozenset(
+            # returned.  The target is a source path, so every formal root
+            # is one segment longer than it.
+            roots = {concat(target, (f,)) for f in proc.formals}
+            n = len(target) + 1
+            out = self.memo[key] = frozenset(
                 (e, f)
                 for e, f in outside
-                if not any(_starts_with(e, root) or _starts_with(f, root)
-                           for root in formal_roots)
+                if e[:n] not in roots and f[:n] not in roots
+                and not has_negation(e) and not has_negation(f)
             )
-            out = self.memo[key] = rel.drop_negated(cleaned)
         return out
 
     # -- whole-program -----------------------------------------------------
@@ -401,10 +402,6 @@ def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
         else:
             free = False
     return free
-
-
-def _starts_with(path: Path, prefix: Path) -> bool:
-    return len(path) >= len(prefix) and path[: len(prefix)] == prefix
 
 
 def analyze(

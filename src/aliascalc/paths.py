@@ -11,6 +11,10 @@ relation across a qualified call.
 Normalization cancels adjacent inverse segments in either order
 (``x.x'`` and ``x'.x`` both vanish), so prefixing a relation by a call
 target and later by its negation round-trips cleanly.
+
+Segment names are identifiers, so the apostrophe occurs only as the
+negation mark at the end of a segment: a path has a negated segment exactly
+when its joined text contains the mark, which is one C-level scan.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ def normalize(segments: Iterable[str]) -> Path:
     """
     stack: list[str] = []
     for seg in segments:
-        if stack and stack[-1] == negate_segment(seg):
+        # stack[-1] == negate_segment(seg), without building the negation
+        if stack and (
+            stack[-1] + NEG_MARK == seg
+            or stack[-1] == seg + NEG_MARK and not seg.endswith(NEG_MARK)
+        ):
             stack.pop()
         else:
             stack.append(seg)
@@ -51,10 +59,12 @@ def normalize(segments: Iterable[str]) -> Path:
 
 
 def concat(prefix: Path, suffix: Path) -> Path:
-    """Path concatenation followed by normalization."""
-    if not prefix:
-        return normalize(suffix) if any(map(is_negated, suffix)) else tuple(suffix)
-    return normalize(prefix + tuple(suffix))
+    """Path concatenation followed by normalization.  Nothing can cancel
+    unless some segment is negated, so plain paths are simply joined."""
+    path = prefix + tuple(suffix)
+    if NEG_MARK in "".join(path):
+        return normalize(path)
+    return path
 
 
 def negation(path: Path) -> Path:
@@ -78,7 +88,7 @@ def head(path: Path) -> str | None:
 
 
 def has_negation(path: Path) -> bool:
-    return any(is_negated(seg) for seg in path)
+    return NEG_MARK in "".join(path)
 
 
 def render(path: Path) -> str:

@@ -2,8 +2,10 @@
 
 A relation is a symmetric, irreflexive set of pairs of paths meaning "these
 two expressions may currently denote the same object".  We store each
-unordered pair once, oriented by tuple order, inside a plain ``frozenset`` —
-all operations are pure functions returning new relations.
+unordered pair once, oriented by tuple order, inside a plain ``frozenset``.
+All operations are pure functions.  One that changes nothing may return its
+input itself rather than a copy, which is safe because frozensets are
+immutable.
 
 Two ideas deserve a note up front:
 
@@ -29,8 +31,6 @@ from .paths import (
     Path,
     concat,
     dot_count,
-    has_negation,
-    head,
     parse_path,
     render,
 )
@@ -86,9 +86,10 @@ def restrict(a: Relation, names: Iterable[str]) -> Relation:
     banned = set(names)
     if not banned:
         return a
-    return frozenset(
-        (e, f) for e, f in a if head(e) not in banned and head(f) not in banned
-    )
+    dropped = [
+        (e, f) for e, f in a if (e and e[0] in banned) or (f and f[0] in banned)
+    ]
+    return a.difference(dropped) if dropped else a
 
 
 def bound_filter(a: Relation, max_dots: int) -> Relation:
@@ -105,25 +106,18 @@ def prefix_relation(a: Relation, prefix: Path, max_dots: int) -> Relation:
 
     Concatenation normalizes away inverse segments, so shifting into a
     callee and back out restores the original pairs.  Pairs that collapse
-    to reflexive ones, or that overflow the dot budget, are dropped.
+    to reflexive ones, or that overflow the dot budget (a path of n
+    segments has n - 1 dots; ``max_dots`` is nonnegative), are dropped.
     """
+    limit = max_dots + 1
     out: Set[Pair] = set()
     for e, f in a:
         pe = concat(prefix, e)
         pf = concat(prefix, f)
-        if pe == pf:
+        if pe == pf or len(pe) > limit or len(pf) > limit:
             continue
-        if dot_count(pe) > max_dots or dot_count(pf) > max_dots:
-            continue
-        out.add(make_pair(pe, pf))
+        out.add((pe, pf) if pe < pf else (pf, pe))
     return frozenset(out)
-
-
-def drop_negated(a: Relation) -> Relation:
-    """Remove pairs still mentioning a negated segment anywhere."""
-    return frozenset(
-        (e, f) for e, f in a if not has_negation(e) and not has_negation(f)
-    )
 
 
 def _partner_index(a: Relation) -> Dict[Path, Set[Path]]:
@@ -140,9 +134,20 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
     y with partners of the two halves.
 
     The recursion is on path length (splits are strictly shorter), with a
-    memo over the sub-paths.
+    memo over the sub-paths.  A split of a contiguous sub-path of y is again
+    one, so only their stored partners are ever needed, and one scan of the
+    relation collects them.  ``max_dots`` is nonnegative.
     """
-    index = _partner_index(a)
+    n = len(y)
+    needed = {y[i:j] for i in range(n) for j in range(i + 1, n + 1)}
+    needed.add(y)  # y may be Current
+    partners: Dict[Path, Set[Path]] = {}
+    for e, f in a:
+        if e in needed:
+            partners.setdefault(e, set()).add(f)
+        if f in needed:
+            partners.setdefault(f, set()).add(e)
+    limit = max_dots + 1
     memo: Dict[Path, Set[Path]] = {}
 
     def closure(e: Path) -> Set[Path]:
@@ -150,7 +155,7 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
         if cached is not None:
             return cached
         out: Set[Path] = {e}
-        out |= index.get(e, set())
+        out.update(partners.get(e, ()))
         if len(e) >= 2:
             for k in range(1, len(e)):
                 h, t = e[:k], e[k:]
@@ -163,7 +168,7 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
                         cand = concat(h2, t2)
                         if cand == e:
                             continue
-                        if dot_count(cand) <= max_dots:
+                        if len(cand) <= limit:
                             out.add(cand)
         memo[e] = out
         return out
@@ -190,14 +195,13 @@ def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
         # Rebinding a variable to itself changes nothing.
         return a
     x_name = x[0]
-    members = {
-        e
+    limit = max_dots + 1
+    fresh = {
+        (x, e) if x < e else (e, x)
         for e in quotient(a, y, max_dots)
-        if head(e) != x_name and dot_count(e) <= max_dots
+        if (not e or e[0] != x_name) and len(e) <= limit
     }
-    b = restrict(a, {x_name})
-    fresh = {make_pair(x, e) for e in members if e != x}
-    return frozenset(b | fresh)
+    return restrict(a, (x_name,)).union(fresh)
 
 
 def subst_list(

@@ -10,6 +10,7 @@ names.
 from contextlib import contextmanager
 
 import test_properties as props
+from conftest import read_program as source
 
 from aliascalc.engine import AnalysisConfig, analyze
 from aliascalc.lang import (
@@ -39,11 +40,6 @@ def criterion(name):
         print(f"acceptance: {name} ... FAIL")
         raise
     print(f"acceptance: {name} ... PASS")
-
-
-def source(path):
-    with open(f"programs/{path}", "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def analyzed(path, level, init="{}"):

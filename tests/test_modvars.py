@@ -1,3 +1,5 @@
+from conftest import read_program
+
 from aliascalc.lang import parse
 from aliascalc.modvars import modified_vars
 from aliascalc.paths import render
@@ -62,7 +64,7 @@ def test_recursive_procedure_reaches_a_fixpoint():
 
 
 def test_mutual_recursion_fixpoint():
-    prog = parse(open("programs/mutual_recursion_large.e1").read(), level="e1")
+    prog = parse(read_program("mutual_recursion_large.e1"), level="e1")
     sets = modified_vars(prog)
     as_text = {
         name: {render(p) for p in s} for name, s in sets.items()

@@ -1,4 +1,5 @@
 import pytest
+from conftest import read_program
 
 from aliascalc.engine import AnalysisConfig
 from aliascalc.lang import parse
@@ -182,7 +183,7 @@ def test_report_render_shape():
 
 
 def test_soundness_over_mixed_flow_fixture():
-    rep = check_soundness(parse(open("programs/mixed_flow.e0").read(), level="e0"))
+    rep = check_soundness(parse(read_program("mixed_flow.e0"), level="e0"))
     # The two cuts in the program are genuinely violated on some paths,
     # which the report must surface; the computed relation still covers
     # every concrete alias on the remaining paths.

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,3 +109,32 @@ def test_concat_associative(p, q, r):
 @given(paths)
 def test_normalize_idempotent(p):
     assert normalize(normalize(p)) == normalize(p)
+
+
+def reference_concat(p, q):
+    """concat by its definition: a stack reduction of the joined segments
+    that pops whenever a segment undoes the one below it."""
+    stack = []
+    for seg in p + q:
+        if stack and stack[-1] == negate_segment(seg):
+            stack.pop()
+        else:
+            stack.append(seg)
+    return tuple(stack)
+
+
+@pytest.mark.parametrize("alphabet, longest", [
+    # Every pair of paths up to length 4 over a, a', b, b', normal or not:
+    # plain operands (joined as they are) and every placement of an inverse
+    # pair, at the junction or inside either operand.
+    (["a", "a'", "b", "b'"], 4),
+    # A doubled mark is no inverse of a single one.
+    (["a", "a'", "a''"], 3),
+])
+def test_concat_matches_stack_reduction_exhaustively(alphabet, longest):
+    all_paths = [
+        tuple(p) for n in range(longest + 1) for p in itertools.product(alphabet, repeat=n)
+    ]
+    for p in all_paths:
+        for q in all_paths:
+            assert concat(p, q) == reference_concat(p, q), (p, q)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aliascalc import relations as rel
-from aliascalc.paths import parse_path, render, var
+from aliascalc.paths import concat, dot_count, head, parse_path, render, var
 from aliascalc.relations import (
     EMPTY,
     aliased,
@@ -301,3 +301,130 @@ def test_render_parse_roundtrip(a):
 def test_union_intersection_stay_canonicalizable(a, b):
     for r in (a | b, a & b):
         assert from_cliques(canonical(r)) == r
+
+
+# -- differential: the kernels before the partner scan -------------------------------
+#
+# The relation kernels as they were when quotient built a partner index over
+# the whole relation, restrict rebuilt every kept pair and subst copied the
+# union; the rewritten kernels must agree with them on every input.
+
+def _ref_partner_index(a):
+    index = {}
+    for e, f in a:
+        index.setdefault(e, set()).add(f)
+        index.setdefault(f, set()).add(e)
+    return index
+
+
+def ref_quotient(a, y, max_dots):
+    index = _ref_partner_index(a)
+    memo = {}
+
+    def closure(e):
+        cached = memo.get(e)
+        if cached is not None:
+            return cached
+        out = {e}
+        out |= index.get(e, set())
+        if len(e) >= 2:
+            for k in range(1, len(e)):
+                h, t = e[:k], e[k:]
+                heads = closure(h)
+                tails = closure(t)
+                for h2 in heads:
+                    for t2 in tails:
+                        if h2 == h and t2 == t:
+                            continue
+                        cand = concat(h2, t2)
+                        if cand == e:
+                            continue
+                        if dot_count(cand) <= max_dots:
+                            out.add(cand)
+        memo[e] = out
+        return out
+
+    return frozenset(closure(y))
+
+
+def ref_restrict(a, names):
+    banned = set(names)
+    if not banned:
+        return a
+    return frozenset(
+        (e, f) for e, f in a if head(e) not in banned and head(f) not in banned
+    )
+
+
+def ref_prefix_relation(a, prefix, max_dots):
+    out = set()
+    for e, f in a:
+        pe = concat(prefix, e)
+        pf = concat(prefix, f)
+        if pe == pf:
+            continue
+        if dot_count(pe) > max_dots or dot_count(pf) > max_dots:
+            continue
+        out.add(make_pair(pe, pf))
+    return frozenset(out)
+
+
+def ref_subst(a, x, y, max_dots):
+    if len(x) != 1:
+        raise ValueError(f"assignment target must be a variable, got {render(x)}")
+    if y == x:
+        return a
+    x_name = x[0]
+    members = {
+        e
+        for e in ref_quotient(a, y, max_dots)
+        if head(e) != x_name and dot_count(e) <= max_dots
+    }
+    b = ref_restrict(a, {x_name})
+    fresh = {make_pair(x, e) for e in members if e != x}
+    return frozenset(b | fresh)
+
+
+# Current, variables and fields up to 3 dots, optionally under a negated
+# prefix as in a callee's view of its caller.
+kernel_paths = st.builds(
+    lambda pre, rest: (pre + tuple(rest))[:4],
+    st.sampled_from([(), ("x'",), ("y'",), ("x'", "y'")]),
+    st.lists(st.sampled_from(["x", "y", "z", "a", "b"]), max_size=4),
+)
+kernel_relations = st.lists(st.tuples(kernel_paths, kernel_paths), max_size=12).map(from_pairs)
+budgets = st.integers(0, 4)
+targets = st.sampled_from([var("x"), var("y"), var("z")])
+prefixes = st.sampled_from([(), ("x",), ("x'",), ("x", "a"), ("a'", "x'"), ("y", "x'")])
+
+
+@given(kernel_relations, kernel_paths, budgets)
+def test_quotient_matches_partner_index_version(a, y, max_dots):
+    assert quotient(a, y, max_dots) == ref_quotient(a, y, max_dots)
+
+
+@given(kernel_relations, st.sets(st.sampled_from(["x", "y", "z", "a"])))
+def test_restrict_matches_rebuilding_version(a, names):
+    assert restrict(a, names) == ref_restrict(a, names)
+
+
+@given(kernel_relations, prefixes, budgets)
+def test_prefix_relation_matches_make_pair_version(a, prefix, max_dots):
+    assert prefix_relation(a, prefix, max_dots) == ref_prefix_relation(a, prefix, max_dots)
+
+
+@given(kernel_relations, targets, kernel_paths, budgets)
+def test_subst_matches_copying_version(a, x, y, max_dots):
+    assert subst(a, x, y, max_dots) == ref_subst(a, x, y, max_dots)
+
+
+@pytest.mark.parametrize("max_dots", range(5))
+@pytest.mark.parametrize("target, source, init", [
+    ("x", "Current", "{x, y}, {Current, z.a}"),  # x := Current
+    ("x", "x.a", "{x, y}, {x.a, z}"),  # x := x.a
+    ("y", "x", "{Current, x.a}"),  # y := x
+])
+def test_subst_edge_cases_match_copying_version(target, source, init, max_dots):
+    a = lit(init)
+    x, y = parse_path(target), parse_path(source)
+    assert subst(a, x, y, max_dots) == ref_subst(a, x, y, max_dots)
