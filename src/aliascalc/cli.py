@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import relations as rel
-from .engine import AnalysisConfig, analyze
+from .engine import AnalysisConfig, analyze, resolve_max_dots
 from .lang import SourceError, expressions_of, parse
 from .modvars import modified_vars
 from .oracle import ExecBounds, check_soundness
@@ -129,6 +129,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output == "soundness" and args.level != "e0":
         parser.error("--output soundness requires --level e0")
+    if args.output == "soundness" and args.mode == "must":
+        parser.error("--output soundness checks may containment; it needs --mode may")
     if args.max_dots is not None and args.max_dots < 0:
         parser.error("--max-dots must be nonnegative")
     if args.unroll < 1:
@@ -160,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3 if report.violation_count else 0
 
     if args.output == "modvars":
-        sets = modified_vars(program)
+        sets = modified_vars(program, resolve_max_dots(program, config, init))
         for proc in program.procedures:
             members = ", ".join(sorted(render(p) for p in sets[proc.name]))
             print(f"{proc.name}: {members}" if members else f"{proc.name}:")

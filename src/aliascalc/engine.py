@@ -18,11 +18,20 @@ The transfer of a relation through an instruction follows one rule per form:
   finite and the step is monotone.
 * ``call r (l)`` — formals are assigned the actuals, then the body runs;
   resolved through a summary table so recursion terminates.
-* ``call x.r (l)`` — the caller's relation is re-rooted under the negated
-  target (every element prefixed by ``x'``), formals are assigned the
-  re-rooted actuals, the body runs, the result is re-rooted back under
-  ``x``, and pairs that mention a formal of ``r`` under ``x`` or a leftover
-  negated segment — both meaningless to the caller — are dropped.
+* ``call x.r (l)`` — in may mode the caller's relation is split in two.
+  The *visible* part holds every pair with an element that is ``Current``,
+  is rooted at the target's first segment, or is a non-empty prefix of an
+  actual: the only caller paths the callee can read (as ``x'``-prefixed
+  sub-paths of its shifted actuals) or write (its own names are the
+  caller's ``x.*``).  The *carried* part, every other pair, crosses the
+  call unchanged, as the frame rule carries what a call cannot touch.
+  The visible part is re-rooted under the negated target (every element
+  prefixed by ``x'``, with ``len(x)`` more dots allowed), formals are
+  assigned the re-rooted actuals, the body runs, the result is re-rooted
+  back under ``x``, pairs that mention a formal of ``r`` under ``x`` or a
+  leftover negated segment — both meaningless to the caller — are
+  dropped, and the carried part is added back.  Must mode sends the whole
+  relation through, within the plain budget.
 
 Interprocedural analysis caches one exit relation per (procedure, entry
 relation) pair and drives the table to a fixpoint with a worklist: a key's
@@ -40,7 +49,9 @@ memoizes the transfers that do not read the summary table, keyed by
 (instruction, input relation): atomic instructions, compound instructions
 whose bodies contain no call, and the two table-free halves of a call (the
 formal binding and view shift on entry, the shift back and cleaning on
-exit).  A call is never memoized as a whole: its summary lookup must run
+exit).  A qualified call's entry is keyed by its visible part, so caller
+contexts that differ only in carried pairs share one entry and one summary
+key.  A call is never memoized as a whole: its summary lookup must run
 every time, because that lookup is how the worklist learns which keys
 depend on which.
 """
@@ -153,8 +164,8 @@ class Analysis:
         if config.mode == "may":
             self._seed = rel.EMPTY
         elif config.mode == "must":
-            self._seed = rel.bound_filter(
-                rel.universal(expressions_of(program)), self.max_dots
+            self._seed = rel.universal(
+                e for e in expressions_of(program) if dot_count(e) <= self.max_dots
             )
         else:
             raise ValueError(f"unknown mode {config.mode!r}")
@@ -282,11 +293,27 @@ class Analysis:
         proc = self.program.procedure(ins.proc)
         target = ins.qualifier
         back = negation(target)
-        key = (id(ins), a)
+        visible, carried, budget = a, rel.EMPTY, self.max_dots
+        if self.config.mode == "may":
+            # The callee reads a caller path only as Current or a prefix of
+            # an actual, and writes only paths under the target: a pair with
+            # neither kind of element crosses the call unchanged.  The shift
+            # adds len(target) segments, which the entry budget allows for.
+            head = target[0]
+            reads = {arg[:i] for arg in ins.args for i in range(1, len(arg) + 1)}
+            carried = frozenset(
+                (e, f) for e, f in a
+                if e and f and e[0] != head and f[0] != head
+                and e not in reads and f not in reads
+            )
+            if carried:
+                visible = a - carried
+            budget += len(target)
+        key = (id(ins), visible)
         entry = self.memo.get(key)
         if entry is None:
             # The caller's relation, seen from the callee.
-            inside = rel.prefix_relation(a, back, self.max_dots)
+            inside = rel.prefix_relation(visible, back, budget)
             # Formals receive the actuals as the callee sees them.
             entry = self.memo[key] = rel.subst_list(
                 inside,
@@ -312,7 +339,7 @@ class Analysis:
                 if e[:n] not in roots and f[:n] not in roots
                 and not has_negation(e) and not has_negation(f)
             )
-        return out
+        return out | carried if carried else out
 
     # -- whole-program -----------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .paths import CURRENT, Path, dot_count, render, var
 
@@ -157,8 +157,7 @@ class Program:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME NUMBER ASSIGN DOT COMMA LPAREN RPAREN SEP EOF
     text: str
     line: int
@@ -183,26 +182,28 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str) -> List[Token]:
+    """The token list, ending in EOF.  ``finditer`` skips what no token
+    matches, so a gap between one match and the next (or before the end
+    of the text) is an unexpected character, reported at its start."""
     tokens: List[Token] = []
     line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SourceError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
         kind = m.lastgroup
-        tok_text = m.group()
-        col = pos - line_start + 1
+        pos = m.end()
         if kind == "sep":
-            tokens.append(Token("SEP", tok_text, line, col))
+            tok_text = m.group()
+            tokens.append(Token("SEP", tok_text, line, start - line_start + 1))
             if tok_text == "\n":
                 line += 1
-                line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind.upper(), tok_text, line, col))
-        pos = m.end()
+                line_start = pos
+        elif kind != "ws" and kind != "comment":
+            tokens.append(Token(kind.upper(), m.group(), line, start - line_start + 1))
+    if pos != len(text):
+        raise SourceError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 

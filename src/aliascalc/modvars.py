@@ -21,8 +21,9 @@ dot budget are dropped — also safe, since dropping only shrinks the set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Set
+from typing import Dict, FrozenSet, Optional, Sequence, Set
 
+from .engine import AnalysisConfig, resolve_max_dots
 from .lang import (
     Assign,
     Call,
@@ -35,9 +36,9 @@ from .lang import (
     Program,
     Repeat,
     Skip,
-    max_dot_count,
 )
 from .paths import Path, concat, dot_count, var
+from .relations import EMPTY
 
 ModSet = FrozenSet[Path]
 
@@ -94,14 +95,18 @@ def _ins_modset(
     raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
 
 
-def modified_vars(program: Program) -> Dict[str, ModSet]:
-    """Per-procedure guaranteed-set sets, as a least fixpoint over calls."""
-    bound = max(max_dot_count(program), 3)
+def modified_vars(program: Program, max_dots: Optional[int] = None) -> Dict[str, ModSet]:
+    """Per-procedure guaranteed-set sets, as a least fixpoint over calls.
+    Re-rooted entries with more than max_dots dots are dropped; the
+    default is the analysis's budget for the program with an empty
+    initial relation."""
+    if max_dots is None:
+        max_dots = resolve_max_dots(program, AnalysisConfig(), EMPTY)
     env: Dict[str, ModSet] = {p.name: EMPTY_MODSET for p in program.procedures}
     while True:
         changed = False
         for proc in program.procedures:
-            new = _body_modset(proc.body, env, program, bound)
+            new = _body_modset(proc.body, env, program, max_dots)
             if new != env[proc.name]:
                 env[proc.name] = new
                 changed = True

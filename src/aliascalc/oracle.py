@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import relations as rel
-from .engine import AnalysisConfig, analyze
+from .engine import Analysis, AnalysisConfig
 from .lang import (
     Assign,
     Call,
@@ -320,12 +320,13 @@ def check_soundness(
     assigned.
     """
     run = run_program(program, bounds)
-    computed = analyze(program, config=config).relation
+    analysis = Analysis(program, config)
+    computed = analysis.run().relation
     report = SoundnessReport(
         paths=len(run.executions), bounded=run.bounded, computed=computed
     )
     guaranteed = sorted(
-        p[0] for p in modified_vars(program)[program.main] if len(p) == 1
+        p[0] for p in modified_vars(program, analysis.max_dots)[program.main] if len(p) == 1
     )
     seen_cut: set = set()
     for ex in run.executions:

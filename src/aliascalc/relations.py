@@ -25,6 +25,7 @@ Two ideas deserve a note up front:
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .paths import (
@@ -224,8 +225,9 @@ def cut_pair(a: Relation, e: Path, f: Path) -> Relation:
 
 
 def universal(paths: Iterable[Path]) -> Relation:
-    """Complete relation over a finite universe (the must-mode top)."""
-    return from_cliques([list(paths)])
+    """Complete relation over a finite universe (the must-mode top).
+    Sorting the distinct paths orients every pair."""
+    return frozenset(combinations(sorted(set(paths)), 2))
 
 
 # ---------------------------------------------------------------------------

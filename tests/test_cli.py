@@ -181,8 +181,12 @@ def test_trace_labels_cover_every_form(capsys, monkeypatch):
         "  call x.q (a, Current)  =>  {a, b, x, x.e, y}, {a, x, x.e, y.a}",
         "-- p from {a, b, x, y}, {a, x, y.a}",
         "  skip  =>  {a, b, x, y}, {a, x, y.a}",
-        "-- q from {Current, c, x'.a, x'.b, x'.y}, {Current, c, x'.a, x'.y.a}, {d, x'}",
-        "  e := c  =>  {Current, c, e, x'.a, x'.b, x'.y}, {Current, c, e, x'.a, x'.y.a}, {d, x'}",
+        # (b, y) names neither x, nor Current, nor a prefix of an actual:
+        # it is carried around the call, so q's entry does not hold it.
+        "-- q from {Current, c, x'.a, x'.b}, {Current, c, x'.a, x'.y},"
+        " {Current, c, x'.a, x'.y.a}, {d, x'}",
+        "  e := c  =>  {Current, c, e, x'.a, x'.b}, {Current, c, e, x'.a, x'.y},"
+        " {Current, c, e, x'.a, x'.y.a}, {d, x'}",
     ]
 
 
@@ -257,6 +261,18 @@ def test_modvars_empty_set_prints_bare_name(capsys, monkeypatch):
     assert out == "Main:\n"
 
 
+def test_modvars_follows_the_dot_budget(capsys, monkeypatch):
+    program = "procedure Main\n  call x.p\nend\nprocedure p\n  a := b\nend\n"
+    outputs = []
+    for budget in (["--max-dots", "0"], []):
+        code, out, _ = run_cli(["--output", "modvars", *budget], stdin_text=program,
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        outputs.append(out.splitlines())
+    # x.a has one dot: over a budget of 0, within the default of 3.
+    assert outputs == [["Main:", "p: a"], ["Main: x.a", "p: a"]]
+
+
 def test_soundness_clean(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["--level", "e0", "--output", "soundness"],
@@ -294,6 +310,19 @@ def test_usage_error_soundness_needs_e0(capsys):
     )
     assert code == 1
     assert "requires --level e0" in err
+
+
+def test_usage_error_soundness_needs_may_mode(capsys, monkeypatch):
+    # The check is may containment; a correct must result ({} here) would
+    # read as a violation.
+    code, out, err = run_cli(
+        ["--level", "e0", "--mode", "must", "--output", "soundness"],
+        stdin_text="then x := y else skip end",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "soundness checks may containment" in err
 
 
 def test_usage_error_bad_init(capsys):

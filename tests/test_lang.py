@@ -1,4 +1,8 @@
+import os
+
 import pytest
+from conftest import ROOT, read_program
+from hypothesis import given, settings, strategies as st
 
 from aliascalc.lang import (
     Assign,
@@ -13,6 +17,8 @@ from aliascalc.lang import (
     Repeat,
     Skip,
     SourceError,
+    Token,
+    _TOKEN_RE,
     expressions_of,
     instructions_of,
     max_dot_count,
@@ -48,6 +54,65 @@ def test_tokenize_rejects_unknown_characters():
     with pytest.raises(SourceError) as err:
         tokenize("x := y'")
     assert err.value.line == 1
+
+
+def reference_tokenize(text):
+    """The character-by-character tokenizer that ``finditer`` replaced."""
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise SourceError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = m.lastgroup
+        tok_text = m.group()
+        col = pos - line_start + 1
+        if kind == "sep":
+            tokens.append(Token("SEP", tok_text, line, col))
+            if tok_text == "\n":
+                line += 1
+                line_start = m.end()
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(kind.upper(), tok_text, line, col))
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def lexed(tokenizer, text):
+    """The token list, or the error's message and position."""
+    try:
+        return tokenizer(text)
+    except SourceError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "programs"))))
+def test_tokenize_agrees_with_reference_on_fixtures(name):
+    text = read_program(name)
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=list("xyab_019 \t\r\n;:=.,()-'$é"), max_size=40))
+def test_tokenize_agrees_with_reference_on_random_text(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("$x := y", (1, 1)),
+    ("x := y$", (1, 7)),
+    ("x := y\n  z := w$", (2, 9)),
+    ("x := y -- fine\n\né", (3, 1)),
+    ("call x.p (a')", (1, 12)),
+])
+def test_tokenize_reports_the_first_bad_character(text, where):
+    got = lexed(tokenize, text)
+    assert got == lexed(reference_tokenize, text)
+    assert got[1:] == where
 
 
 # -- statements ----------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_universal():
     assert u == from_cliques([paths_of("a", "b", "c")])
 
 
+seed_paths = st.lists(
+    st.lists(st.sampled_from(["a", "b", "x"]), max_size=4).map(tuple), max_size=8)
+
+
+@given(seed_paths, st.integers(0, 3))
+def test_universal_over_the_paths_within_a_budget_is_the_must_seed(paths, k):
+    # The must-mode seed used to be the universal relation cut down to the
+    # budget; it is now built from the paths within the budget only.
+    want = bound_filter(from_cliques([paths]), k)
+    assert universal(p for p in paths if dot_count(p) <= k) == want
+
+
 def test_parse_render_roundtrip():
     text = "{b, c}, {f, g, x, z}"
     assert render_relation(lit(text)) == text
