@@ -34,15 +34,20 @@ The transfer of a relation through an instruction follows one rule per form:
   relation through, within the plain budget.
 
 Interprocedural analysis caches one exit relation per (procedure, entry
-relation) pair and drives the table to a fixpoint with a worklist: a key's
-body is re-run only when it is new or when the exit of a key it looked up
-has changed, so mutually recursive procedures converge; a re-entered key
-simply serves its current value.  In may mode fresh keys start empty and
-exits only grow; in must mode they start at the full relation over the
-program's expressions and only shrink.  Once the worklist is empty, only
-the keys reachable from main's entry are kept: contexts created from
-intermediate values of the fixpoint are dropped, so neither the trace nor
-the per-procedure exits see them.
+relation) pair.  A key that is new when a body looks it up has its own
+body evaluated at once, top-down as in tabulation (Reps, Horwitz and
+Sagiv, POPL 1995), and the caller continues with that exit; without
+recursion every key is evaluated exactly once.  A key already in the
+table, including one still being evaluated further up, serves its current
+value, and a FIFO worklist re-runs a key's body when the exit of a key it
+looked up has changed, so mutually recursive procedures converge.  Nested
+evaluation recurses through the bodies it stacks, so a new key whose body
+would take the stack past the parser's nesting fence is queued instead.
+In may mode fresh keys start empty and exits only grow; in must mode they
+start at the full relation over the program's expressions and only
+shrink.  Once the worklist is empty, only the keys reachable from main's
+entry are kept: contexts created from intermediate values of the fixpoint
+are dropped, so neither the trace nor the per-procedure exits see them.
 
 A re-run body mostly meets the relations it met before, so each analysis
 memoizes the transfers that do not read the summary table, keyed by
@@ -72,6 +77,7 @@ from .lang import (
     Forget,
     Instruction,
     Loop,
+    MAX_NESTING,
     Procedure,
     Program,
     Repeat,
@@ -133,7 +139,9 @@ class Analysis:
     The summary table maps (procedure name, entry relation) to the exit
     relation current at this point of the fixpoint computation.  ``calls``
     maps each evaluated key to the keys its last body evaluation looked
-    up; ``queue`` holds, in FIFO order, the keys whose body must run again.
+    up; ``queue`` holds, in FIFO order, the keys whose body must run again;
+    ``evaluating`` is the key whose body is running, the innermost one when
+    evaluations nest.
 
     ``memo`` maps (instruction id, input relation) to the output of every
     transfer that does not read the table, so it stays valid while the
@@ -155,7 +163,13 @@ class Analysis:
         self.calls: Dict[Key, Set[Key]] = {}
         self.queue: Deque[Key] = deque()
         self.evaluating: Optional[Key] = None
+        self.evaluations: Dict[Key, int] = {}
         self.rounds = 0
+        # Nested evaluation recurses through the bodies on the evaluation
+        # stack: each costs 1 plus its deepest block nesting, and their total
+        # stays within the parser's fence, hence within the recursion limit.
+        self.depth = 0
+        self._cost = {proc.name: 1 + _nesting(proc.body) for proc in program.procedures}
         self.memo: Dict[Tuple[object, ...], Relation] = {}
         # ids of the program's compound instructions that contain no call
         self._call_free: Set[int] = set()
@@ -264,20 +278,49 @@ class Analysis:
     def summary(self, proc: Procedure, entry: Relation) -> Relation:
         """Exit relation for running proc from entry, per the current table.
 
-        A missing key is seeded (empty in may mode, full in must mode) and
-        queued for evaluation by the worklist; a key already being
-        evaluated serves its current value, which is what makes recursion
-        converge instead of diverging.  The lookup is recorded as an edge
-        from the key under evaluation, so that a change to this key's exit
-        re-queues it.
+        A missing key is seeded (empty in may mode, full in must mode).  If
+        it is looked up from another key's body, its own body is evaluated
+        at once, so the caller continues with a real exit, not the seed;
+        a key looked up from outside any body, or one whose body would nest
+        too deep, is queued for the worklist instead.  A key already in the
+        table, including one on the evaluation stack, serves its current
+        value, which is what makes recursion converge instead of diverging.
+        The lookup is then recorded as an edge from the key under
+        evaluation, so that a later change to this key's exit re-queues it.
         """
         key = (proc.name, entry)
         if key not in self.table:
             self.table[key] = self._seed
-            self.queue.append(key)
+            if self.evaluating is not None and self.depth + self._cost[proc.name] <= MAX_NESTING:
+                self.evaluate(key)
+            else:
+                self.queue.append(key)
         if self.evaluating is not None:
             self.calls[self.evaluating].add(key)
         return self.table[key]
+
+    def evaluate(self, key: Key) -> None:
+        """Run key's body once against the current table.  If its exit
+        changed, store it and re-queue every key whose last evaluation
+        looked it up."""
+        count = self.evaluations[key] = self.evaluations.get(key, 0) + 1
+        if count > MAX_ROUNDS:
+            raise RuntimeError(
+                "interprocedural fixpoint failed to stabilize within "
+                f"{MAX_ROUNDS} evaluations of one summary key; this is a bug"
+            )
+        outer, cost = self.evaluating, self._cost[key[0]]
+        self.calls[key] = set()
+        self.evaluating = key
+        self.depth += cost
+        exit_rel = self.transfer_body(key[1], self.program.procedure(key[0]).body)
+        self.evaluating = outer
+        self.depth -= cost
+        if exit_rel != self.table[key]:
+            self.table[key] = exit_rel
+            for caller, callees in self.calls.items():
+                if key in callees and caller not in self.queue:
+                    self.queue.append(caller)
 
     def call_unqualified(self, a: Relation, ins: Call) -> Relation:
         proc = self.program.procedure(ins.proc)
@@ -344,33 +387,20 @@ class Analysis:
     # -- whole-program -----------------------------------------------------
 
     def run(self) -> AnalysisResult:
-        """Drive the summary table to its fixpoint with a FIFO worklist, then
-        keep only the keys reachable from main's entry along the lookups of
-        each key's last evaluation.  ``rounds`` is the most evaluations of
-        any single key."""
+        """Evaluate main's entry key, and with it every key its body looks
+        up first (see ``summary``); then drive the summary table to its
+        fixpoint with a FIFO worklist of the keys whose lookups changed,
+        and keep only the keys reachable from main's entry along the
+        lookups of each key's last evaluation.  ``rounds`` is the most
+        evaluations of any single key: 1 when no exit is ever revised, as
+        in every program without recursion."""
         main = self.program.procedure(self.program.main)
         entry = rel.bound_filter(self.init, self.max_dots)
         root = (main.name, entry)
         self.summary(main, entry)  # creates and queues the root key
-        evaluations: Dict[Key, int] = {}
         while self.queue:
-            key = self.queue.popleft()
-            count = evaluations[key] = evaluations.get(key, 0) + 1
-            if count > MAX_ROUNDS:
-                raise RuntimeError(
-                    "interprocedural fixpoint failed to stabilize within "
-                    f"{MAX_ROUNDS} evaluations of one summary key; this is a bug"
-                )
-            self.calls[key] = set()
-            self.evaluating = key
-            exit_rel = self.transfer_body(key[1], self.program.procedure(key[0]).body)
-            if exit_rel != self.table[key]:
-                self.table[key] = exit_rel
-                for caller, callees in self.calls.items():
-                    if key in callees and caller not in self.queue:
-                        self.queue.append(caller)
-        self.evaluating = None
-        self.rounds = max(evaluations.values())
+            self.evaluate(self.queue.popleft())
+        self.rounds = max(self.evaluations.values())
         live = {root}
         todo = [root]
         while todo:
@@ -395,17 +425,19 @@ class Analysis:
     def run_with_trace(self) -> AnalysisResult:
         """Run to the fixpoint, then replay each cached body once against
         the frozen table, recording the relation after every top-level
-        instruction (and each t_k of top-level loops)."""
+        instruction (and each t_k of top-level loops).  Main's entry key
+        comes first, the others by procedure name and entry relation, so
+        the trace does not depend on the order the driver visited them."""
         result = self.run()
+        root, *rest = [(name, entry, f"{name} from {rel.render_relation(entry)}")
+                       for name, entry in self.table]  # run inserts the root first
         points: List[TracePoint] = []
-        for name, key_entry in list(self.table):
-            body = self.program.procedure(name).body
-            ctx = f"{name} from {rel.render_relation(key_entry)}"
+        for name, key_entry, ctx in [root] + sorted(rest, key=lambda k: (k[0], k[2])):
 
             def record(label: str, relation: Relation, _ctx: str = ctx) -> None:
                 points.append(TracePoint(_ctx, label, relation))
 
-            self.transfer_body(key_entry, body, record)
+            self.transfer_body(key_entry, self.program.procedure(name).body, record)
         result.trace = points
         return result
 
@@ -429,6 +461,17 @@ def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
         else:
             free = False
     return free
+
+
+def _nesting(body: Sequence[Instruction]) -> int:
+    """The deepest nesting of then/loop/iterate blocks in body."""
+    deepest = 0
+    for ins in body:
+        if isinstance(ins, Cond):
+            deepest = max(deepest, 1 + _nesting(ins.then_branch), 1 + _nesting(ins.else_branch))
+        elif isinstance(ins, (Loop, Repeat)):
+            deepest = max(deepest, 1 + _nesting(ins.body))
+    return deepest
 
 
 def analyze(

@@ -9,6 +9,7 @@ import pytest
 from conftest import read_program
 
 from aliascalc import relations as rel
+from aliascalc.cli import _render_trace
 from aliascalc.engine import (
     MAX_ROUNDS,
     Analysis,
@@ -17,7 +18,7 @@ from aliascalc.engine import (
     resolve_max_dots,
     transfer_instructions,
 )
-from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, parse
+from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, _walk, parse
 from aliascalc.paths import concat, has_negation, negation, parse_path, var
 from aliascalc.randprog import random_program
 from aliascalc.relations import (
@@ -284,18 +285,130 @@ def test_every_summary_key_is_reachable_from_main(name, mode):
     assert live == set(table)
 
 
+class Stack(deque):
+    popleft = deque.pop  # last in, first out
+
+
 @pytest.mark.parametrize("mode", ["may", "must"])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_visit_order_does_not_change_the_result(name, mode):
-    class Stack(deque):
-        popleft = deque.pop  # last in, first out
-
     fifo = fixture_analysis(name, mode)
     lifo = fixture_analysis(name, mode)
     lifo.queue = Stack()
     want, got = fifo.run(), lifo.run()
     assert (got.relation, got.procedure_exits) == (want.relation, want.procedure_exits)
     assert lifo.table == fifo.table
+
+
+class QueueOnly(Analysis):
+    """The driver before nested evaluation: every new key is seeded and
+    queued, so its caller finishes on the seed and runs again once the
+    key's exit is known."""
+
+    def summary(self, proc, entry):
+        key = (proc.name, entry)
+        if key not in self.table:
+            self.table[key] = self._seed
+            self.queue.append(key)
+        if self.evaluating is not None:
+            self.calls[self.evaluating].add(key)
+        return self.table[key]
+
+
+def assert_same_fixpoint(analysis, reference):
+    got, want = analysis.run(), reference.run()
+    assert (got.relation, got.procedure_exits, got.summary_keys) == (
+        want.relation, want.procedure_exits, want.summary_keys)
+    assert analysis.table == reference.table
+
+
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_nested_evaluation_agrees_with_queue_only_driver(name, mode):
+    assert_same_fixpoint(fixture_analysis(name, mode), fixture_analysis(name, mode, QueueOnly))
+
+
+def test_nested_evaluation_agrees_with_queue_only_driver_on_generated_programs():
+    for seed in range(300):
+        program, init = generated(seed)
+        for mode in ("may", "must"):
+            config = AnalysisConfig(mode=mode)
+            assert_same_fixpoint(Analysis(program, config, init), QueueOnly(program, config, init))
+
+
+def test_nested_evaluation_agrees_with_queue_only_driver_on_random_programs():
+    rng = random.Random(20101)
+    init = lit("{a,b},{c,d}")
+    for i in range(240):
+        prog = random_program(rng) if i % 2 else with_calls(rng)
+        config = AnalysisConfig(mode=("may", "must")[i // 2 % 2])
+        assert_same_fixpoint(Analysis(prog, config, init), QueueOnly(prog, config, init))
+
+
+def recursive(program):
+    """Whether some procedure can reach itself through calls."""
+    callees = {p.name: {ins.proc for ins in _walk(p.body) if isinstance(ins, Call)}
+               for p in program.procedures}
+    for name in callees:
+        seen, todo = set(), list(callees[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(callees[callee])
+        if name in seen:
+            return True
+    return False
+
+
+def test_acyclic_programs_evaluate_each_key_once():
+    # Each key's callees are evaluated when first looked up, so without
+    # recursion no exit is ever revised.  The queue-only driver re-ran
+    # callers that had read a seed.
+    programs = [fixture_analysis(name, "may").program for name in FIXTURES]
+    rng = random.Random(2010)
+    programs += [parse(GEN.interproc_program(rng, "e2", 4)) for _ in range(300)]
+    programs = [p for p in programs if not recursive(p)]
+    assert len(programs) == 309
+    rerun = 0
+    for program in programs:
+        for mode in ("may", "must"):
+            config = AnalysisConfig(mode=mode)
+            assert Analysis(program, config).run().rounds == 1
+            rerun += QueueOnly(program, config).run().rounds > 1
+    assert rerun > 0
+
+
+@pytest.mark.parametrize("mode", ["may", "must"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_trace_text_does_not_depend_on_the_driver(name, mode):
+    lifo = fixture_analysis(name, mode, QueueOnly)
+    lifo.queue = Stack()
+    drivers = [fixture_analysis(name, mode, QueueOnly), lifo, fixture_analysis(name, mode)]
+    texts = {_render_trace(analysis.run_with_trace().trace) for analysis in drivers}
+    assert len(texts) == 1
+    assert next(iter(texts)).startswith("-- Main from ")
+
+
+def call_chain(procs, depth):
+    """Main and procs - 1 more procedures, each calling the next from
+    under depth nested loops."""
+    names = ["Main"] + [f"p{i}" for i in range(1, procs)]
+    lines = []
+    for name, callee in zip(names, names[1:] + [None]):
+        body = "a := b" + (f" ; call {callee}" if callee else "")
+        lines += [f"procedure {name}", "loop " * depth + body + " end" * depth, "end"]
+    return parse("\n".join(lines), level="e1")
+
+
+@pytest.mark.parametrize("procs, depth", [(300, 0), (5, 100), (3, 100), (40, 20)])
+def test_deep_call_chains_stay_within_the_recursion_limit(procs, depth):
+    # A new key's body runs inside its caller's, so nested evaluation stops
+    # at the nesting fence and leaves deeper keys to the queue.
+    program = call_chain(procs, depth)
+    for mode in ("may", "must"):
+        config = AnalysisConfig(mode=mode)
+        assert_same_fixpoint(Analysis(program, config), QueueOnly(program, config))
 
 
 def test_stale_contexts_are_dropped():
@@ -380,17 +493,17 @@ def counted_calls(monkeypatch, attr, analysis):
 
 def test_memo_cuts_repeated_substitutions(monkeypatch):
     name = "mutual_recursion_large.e1"
-    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may")) == 320
-    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may", NoMemo)) == 1106
+    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may")) == 171
+    assert counted_calls(monkeypatch, "subst", fixture_analysis(name, "may", NoMemo)) == 464
 
 
 def test_memo_cuts_repeated_view_shifts(monkeypatch):
     name = "linked_lists.e2"
     # Pairs carried around a qualified call never reach its entry key, so
     # contexts that differ only in them share one entry and one shift.
-    assert counted_calls(monkeypatch, "prefix_relation", fixture_analysis(name, "may")) == 28
+    assert counted_calls(monkeypatch, "prefix_relation", fixture_analysis(name, "may")) == 18
     assert counted_calls(
-        monkeypatch, "prefix_relation", fixture_analysis(name, "may", NoMemo)) == 84
+        monkeypatch, "prefix_relation", fixture_analysis(name, "may", NoMemo)) == 24
 
 
 def lookups(analysis):
