@@ -59,6 +59,13 @@ contexts that differ only in carried pairs share one entry and one summary
 key.  A call is never memoized as a whole: its summary lookup must run
 every time, because that lookup is how the worklist learns which keys
 depend on which.
+
+What an analysis reads off the program itself — its expressions and their
+dot depth, which compound instructions contain no call, and each
+procedure's nesting cost — depends on neither mode nor budget, so it is
+computed once per ``Program`` (``Program.facts``) and shared by every
+analysis of it, as the may and must runs of one job share it.  Only the
+budget and the must seed, which depend on both, are set up per analysis.
 """
 
 from __future__ import annotations
@@ -82,7 +89,6 @@ from .lang import (
     Program,
     Repeat,
     Skip,
-    expressions_of,
     max_dot_count,
     one_line,
 )
@@ -151,6 +157,8 @@ class Analysis:
     uses the analysis.  Calls are not memoized as a whole (only their
     table-free halves), nor are compound instructions containing one:
     ``summary`` must see every lookup to record the worklist's edges.
+    Which compound instructions contain no call, and the nesting cost of
+    each procedure, are read from ``program.facts``.
     """
 
     def __init__(self, program: Program, config: AnalysisConfig = AnalysisConfig(),
@@ -169,17 +177,15 @@ class Analysis:
         # stack: each costs 1 plus its deepest block nesting, and their total
         # stays within the parser's fence, hence within the recursion limit.
         self.depth = 0
-        self._cost = {proc.name: 1 + _nesting(proc.body) for proc in program.procedures}
+        facts = program.facts
+        self._cost = facts.costs
+        self._call_free = facts.call_free
         self.memo: Dict[Tuple[object, ...], Relation] = {}
-        # ids of the program's compound instructions that contain no call
-        self._call_free: Set[int] = set()
-        for proc in program.procedures:
-            _mark_call_free(proc.body, self._call_free)
         if config.mode == "may":
             self._seed = rel.EMPTY
         elif config.mode == "must":
             self._seed = rel.universal(
-                e for e in expressions_of(program) if dot_count(e) <= self.max_dots
+                e for e in facts.expressions if dot_count(e) <= self.max_dots
             )
         else:
             raise ValueError(f"unknown mode {config.mode!r}")
@@ -440,38 +446,6 @@ class Analysis:
             self.transfer_body(key_entry, self.program.procedure(name).body, record)
         result.trace = points
         return result
-
-
-def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
-    """Add to call_free the ids of body's compound instructions that
-    contain no call, at any depth; return whether body contains none."""
-    free = True
-    for ins in body:
-        if isinstance(ins, Call):
-            free = False
-            continue
-        if isinstance(ins, Cond):
-            inner = [_mark_call_free(b, call_free) for b in (ins.then_branch, ins.else_branch)]
-        elif isinstance(ins, (Loop, Repeat)):
-            inner = [_mark_call_free(ins.body, call_free)]
-        else:
-            continue
-        if all(inner):
-            call_free.add(id(ins))
-        else:
-            free = False
-    return free
-
-
-def _nesting(body: Sequence[Instruction]) -> int:
-    """The deepest nesting of then/loop/iterate blocks in body."""
-    deepest = 0
-    for ins in body:
-        if isinstance(ins, Cond):
-            deepest = max(deepest, 1 + _nesting(ins.then_branch), 1 + _nesting(ins.else_branch))
-        elif isinstance(ins, (Loop, Repeat)):
-            deepest = max(deepest, 1 + _nesting(ins.body))
-    return deepest
 
 
 def analyze(

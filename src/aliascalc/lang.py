@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .paths import CURRENT, Path, dot_count, render, var
@@ -127,13 +128,32 @@ Instruction = Union[Skip, Create, Forget, Cut, Assign, Cond, Loop, Repeat, Call]
 
 @dataclass(frozen=True)
 class Procedure:
+    """A procedure declaration.  ``pos`` is the position of its
+    ``procedure`` keyword, for diagnostics, and does not participate in
+    equality."""
+
     name: str
     formals: Tuple[str, ...]
     body: Tuple[Instruction, ...]
+    pos: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+
+
+class ProgramFacts(NamedTuple):
+    """What the analyses read off a program, none of it depending on the
+    analysis mode or the dot budget."""
+
+    expressions: FrozenSet[Path]  # every path written in the program, plus Current
+    max_dots: int  # the most dots in one of them
+    call_free: FrozenSet[int]  # ids of the compound instructions containing no call
+    costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
 
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed program.  ``facts`` is computed on first use and kept with
+    the program, so every analysis of one program shares one copy; the
+    instruction ids in it stay valid as long as the program lives."""
+
     procedures: Tuple[Procedure, ...]
     main: str = "Main"
     level: str = "e2"
@@ -152,16 +172,27 @@ class Program:
         except KeyError:
             raise SourceError(f"undefined procedure {name!r}") from None
 
+    @cached_property
+    def facts(self) -> ProgramFacts:
+        expressions = _census(self)
+        call_free: Set[int] = set()
+        for proc in self.procedures:
+            _mark_call_free(proc.body, call_free)
+        return ProgramFacts(
+            expressions=expressions,
+            max_dots=max(dot_count(e) for e in expressions),
+            call_free=frozenset(call_free),
+            costs={proc.name: 1 + _nesting(proc.body) for proc in self.procedures},
+        )
+
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # NAME NUMBER ASSIGN DOT COMMA LPAREN RPAREN SEP EOF
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col), a plain tuple: the lexer builds one per token.
+# kind is NAME NUMBER ASSIGN DOT COMMA LPAREN RPAREN SEP or EOF.
+Token = Tuple[str, str, int, int]
 
 
 _TOKEN_RE = re.compile(
@@ -196,15 +227,15 @@ def tokenize(text: str) -> List[Token]:
         pos = m.end()
         if kind == "sep":
             tok_text = m.group()
-            tokens.append(Token("SEP", tok_text, line, start - line_start + 1))
+            tokens.append(("SEP", tok_text, line, start - line_start + 1))
             if tok_text == "\n":
                 line += 1
                 line_start = pos
         elif kind != "ws" and kind != "comment":
-            tokens.append(Token(kind.upper(), m.group(), line, start - line_start + 1))
+            tokens.append((kind.upper(), m.group(), line, start - line_start + 1))
     if pos != len(text):
         raise SourceError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -213,7 +244,8 @@ def tokenize(text: str) -> List[Token]:
 # ---------------------------------------------------------------------------
 
 class Parser:
-    """Recursive descent over the token list; one token of lookahead."""
+    """Recursive descent over the token list; one token of lookahead.
+    A token is a ``(kind, text, line, col)`` tuple, read by index."""
 
     def __init__(self, tokens: List[Token], level: str = "e2"):
         self.tokens = tokens
@@ -226,40 +258,42 @@ class Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None) -> SourceError:
         tok = tok or self.peek()
-        return SourceError(message, tok.line, tok.col)
+        return SourceError(message, tok[2], tok[3])
+
+    def found(self) -> str:
+        """The current token's text for an error message."""
+        return repr(self.peek()[1] or "end of input")
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+        if self.peek()[0] != kind:
+            raise self.error(f"expected {what}, found {self.found()}")
         return self.next()
 
     def skip_seps(self) -> None:
-        while self.peek().kind == "SEP":
+        while self.peek()[0] == "SEP":
             self.next()
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.text in words
+        kind, text, _, _ = self.peek()
+        return kind == "NAME" and text in words
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
         if not self.at_keyword(word):
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}")
+            raise self.error(f"expected {word!r}, found {self.found()}")
         return self.next()
 
     def identifier(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text in KEYWORDS:
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+        kind, text, _, _ = self.peek()
+        if kind != "NAME" or text in KEYWORDS:
+            raise self.error(f"expected {what}, found {self.found()}")
         self.next()
-        return tok.text
+        return text
 
     # -- paths --------------------------------------------------------------
 
@@ -268,15 +302,13 @@ class Parser:
         current object is the identity)."""
         segs: List[str] = []
         while True:
-            tok = self.peek()
-            if tok.kind != "NAME" or (tok.text in KEYWORDS and tok.text != "Current"):
-                raise self.error(
-                    f"expected a variable or Current, found {tok.text or 'end of input'!r}"
-                )
+            kind, text, _, _ = self.peek()
+            if kind != "NAME" or (text in KEYWORDS and text != "Current"):
+                raise self.error(f"expected a variable or Current, found {self.found()}")
             self.next()
-            if tok.text != "Current":
-                segs.append(tok.text)
-            if self.peek().kind == "DOT":
+            if text != "Current":
+                segs.append(text)
+            if self.peek()[0] == "DOT":
                 self.next()
                 continue
             return tuple(segs)
@@ -288,13 +320,8 @@ class Parser:
         p = self.path()
         if self.level != "e2" and len(p) != 1:
             if p:
-                raise SourceError(
-                    f"dotted {what} {render(p)!r} requires level e2",
-                    tok.line, tok.col,
-                )
-            raise SourceError(
-                f"Current as {what} requires level e2", tok.line, tok.col
-            )
+                raise self.error(f"dotted {what} {render(p)!r} requires level e2", tok)
+            raise self.error(f"Current as {what} requires level e2", tok)
         return p
 
     # -- statements ----------------------------------------------------------
@@ -303,23 +330,19 @@ class Parser:
         out: List[Instruction] = []
         while True:
             self.skip_seps()
-            tok = self.peek()
-            if tok.kind == "EOF" or (tok.kind == "NAME" and tok.text in stop_words):
+            kind, text, _, _ = self.peek()
+            if kind == "EOF" or (kind == "NAME" and text in stop_words):
                 return tuple(out)
             out.append(self.statement())
-            nxt = self.peek()
-            if nxt.kind not in ("SEP", "EOF") and not (
-                nxt.kind == "NAME" and nxt.text in stop_words
-            ):
-                raise self.error(
-                    f"expected end of statement, found {nxt.text!r}"
-                )
+            kind, text, _, _ = self.peek()
+            if kind not in ("SEP", "EOF") and not (kind == "NAME" and text in stop_words):
+                raise self.error(f"expected end of statement, found {text!r}")
 
     def statement(self) -> Instruction:
         tok = self.peek()
-        if tok.kind != "NAME":
-            raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
-        word = tok.text
+        kind, word, _, _ = tok
+        if kind != "NAME":
+            raise self.error(f"expected a statement, found {self.found()}")
         if word == "skip":
             self.next()
             return Skip()
@@ -355,21 +378,21 @@ class Parser:
                     tok,
                 )
             args: Tuple[Path, ...] = ()
-            if self.peek().kind == "LPAREN":
+            if self.peek()[0] == "LPAREN":
                 self.next()
                 arg_list: List[Path] = [self.fenced_path("call argument")]
-                while self.peek().kind == "COMMA":
+                while self.peek()[0] == "COMMA":
                     self.next()
                     arg_list.append(self.fenced_path("call argument"))
                 self.expect("RPAREN", "')' after call arguments")
                 args = tuple(arg_list)
-            return Call(target[:-1], target[-1], args, pos=(tok.line, tok.col))
+            return Call(target[:-1], target[-1], args, pos=(tok[2], tok[3]))
         if word in KEYWORDS:
             raise self.error(f"unexpected keyword {word!r}")
         # Only assignment starts with a bare path.
         target = self.path()
         assign_tok = self.peek()
-        if assign_tok.kind != "ASSIGN":
+        if assign_tok[0] != "ASSIGN":
             raise self.error(
                 f"expected ':=' after {render(target)!r}", assign_tok
             )
@@ -400,21 +423,27 @@ class Parser:
             self.expect_keyword("end")
             return Loop(body)
         count_tok = self.expect("NUMBER", "an iteration count after 'iterate'")
+        try:
+            count = int(count_tok[1])
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(
+                f"iteration count of {len(count_tok[1])} digits is too long", count_tok
+            ) from None
         body = self.statements({"end"})
         self.expect_keyword("end")
-        return Repeat(int(count_tok.text), body)
+        return Repeat(count, body)
 
     # -- procedures ----------------------------------------------------------
 
     def procedure(self) -> Procedure:
-        self.expect_keyword("procedure")
+        keyword = self.expect_keyword("procedure")
         name_tok = self.peek()
         name = self.identifier("a procedure name")
         formals: List[str] = []
-        if self.peek().kind == "LPAREN":
+        if self.peek()[0] == "LPAREN":
             self.next()
             formals.append(self.identifier("a formal argument name"))
-            while self.peek().kind == "COMMA":
+            while self.peek()[0] == "COMMA":
                 self.next()
                 formals.append(self.identifier("a formal argument name"))
             self.expect("RPAREN", "')' after formal arguments")
@@ -422,7 +451,7 @@ class Parser:
             raise self.error(f"duplicate formal argument in {name!r}", name_tok)
         body = self.statements({"end"})
         self.expect_keyword("end")
-        return Procedure(name, tuple(formals), body)
+        return Procedure(name, tuple(formals), body, pos=(keyword[2], keyword[3]))
 
     def program(self, level: str) -> Program:
         self.level = level
@@ -433,7 +462,7 @@ class Parser:
             procs: List[Procedure] = []
             while True:
                 self.skip_seps()
-                if self.peek().kind == "EOF":
+                if self.peek()[0] == "EOF":
                     break
                 if not self.at_keyword("procedure"):
                     raise self.error(
@@ -476,16 +505,21 @@ def instructions_of(prog: Program) -> Iterator[Instruction]:
 
 def validate(prog: Program) -> None:
     """Whole-program checks: distinct procedure names, main shape, call
-    targets and arity.  The level fences are the parser's: it rejects each
-    form above the tier at the token that introduces it."""
-    names = [p.name for p in prog.procedures]
-    if len(set(names)) != len(names):
-        dup = sorted({n for n in names if names.count(n) > 1})[0]
-        raise SourceError(f"procedure {dup!r} is defined more than once")
-    if prog.main not in names:
-        raise SourceError(f"no procedure named {prog.main!r}")
-    if prog.procedure(prog.main).formals:
-        raise SourceError(f"{prog.main!r} must not take arguments")
+    targets and arity, each reported at the declaration or call at fault
+    (a missing main at the first declaration).  The level fences are the
+    parser's: it rejects each form above the tier at the token that
+    introduces it."""
+    seen: Set[str] = set()
+    for proc in prog.procedures:
+        if proc.name in seen:
+            raise SourceError(f"procedure {proc.name!r} is defined more than once", *proc.pos)
+        seen.add(proc.name)
+    if prog.main not in seen:
+        first = prog.procedures[0].pos if prog.procedures else (0, 0)
+        raise SourceError(f"no procedure named {prog.main!r}", *first)
+    main = prog.procedure(prog.main)
+    if main.formals:
+        raise SourceError(f"{prog.main!r} must not take arguments", *main.pos)
     for ins in instructions_of(prog):
         if isinstance(ins, Call):
             try:
@@ -501,12 +535,20 @@ def validate(prog: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Expression census
+# Program facts
 # ---------------------------------------------------------------------------
 
 def expressions_of(prog: Program) -> FrozenSet[Path]:
     """Every path written in the program (plus Current), the universe used
     for assertions and for the default dot budget."""
+    return prog.facts.expressions
+
+
+def max_dot_count(prog: Program) -> int:
+    return prog.facts.max_dots
+
+
+def _census(prog: Program) -> FrozenSet[Path]:
     out: Set[Path] = {CURRENT}
     for proc in prog.procedures:
         for f in proc.formals:
@@ -527,8 +569,36 @@ def expressions_of(prog: Program) -> FrozenSet[Path]:
     return frozenset(out)
 
 
-def max_dot_count(prog: Program) -> int:
-    return max(dot_count(e) for e in expressions_of(prog))
+def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
+    """Add to call_free the ids of body's compound instructions that
+    contain no call, at any depth; return whether body contains none."""
+    free = True
+    for ins in body:
+        if isinstance(ins, Call):
+            free = False
+            continue
+        if isinstance(ins, Cond):
+            inner = [_mark_call_free(b, call_free) for b in (ins.then_branch, ins.else_branch)]
+        elif isinstance(ins, (Loop, Repeat)):
+            inner = [_mark_call_free(ins.body, call_free)]
+        else:
+            continue
+        if all(inner):
+            call_free.add(id(ins))
+        else:
+            free = False
+    return free
+
+
+def _nesting(body: Sequence[Instruction]) -> int:
+    """The deepest nesting of then/loop/iterate blocks in body."""
+    deepest = 0
+    for ins in body:
+        if isinstance(ins, Cond):
+            deepest = max(deepest, 1 + _nesting(ins.then_branch), 1 + _nesting(ins.else_branch))
+        elif isinstance(ins, (Loop, Repeat)):
+            deepest = max(deepest, 1 + _nesting(ins.body))
+    return deepest
 
 
 # ---------------------------------------------------------------------------

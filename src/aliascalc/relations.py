@@ -20,7 +20,10 @@ Two ideas deserve a note up front:
   only if their own meaning survives the update (i.e. they don't start with
   ``x``).  Computing the partner set before removing ``x``'s old pairs — and
   filtering afterwards — is what makes ``x := x`` a no-op and keeps
-  ``x := x.a`` from aliasing ``x`` to ``x.a``.
+  ``x := x.a`` from aliasing ``x`` to ``x.a``.  A split-free source
+  (``Current`` or a plain variable) has only its stored partners, so
+  ``subst`` collects them in the same scan that finds ``x``'s old pairs
+  instead of building the quotient's closure.
 """
 
 from __future__ import annotations
@@ -189,6 +192,12 @@ def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
     the pre-state, then every member rooted at x is discarded (its meaning
     changes with the assignment), x's old pairs are removed, and x is paired
     with what is left.
+
+    A source of at most one segment has no split to complete, so its
+    quotient is y and its stored partners: one scan of the relation then
+    collects those partners and x's old pairs together.  A partner in a
+    pair rooted at x is itself rooted at x (y is not), so it is dropped
+    with that pair.  Dotted sources go through ``quotient`` and ``restrict``.
     """
     if len(x) != 1:
         raise ValueError(f"assignment target must be a variable, got {render(x)}")
@@ -197,12 +206,25 @@ def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
         return a
     x_name = x[0]
     limit = max_dots + 1
-    fresh = {
-        (x, e) if x < e else (e, x)
-        for e in quotient(a, y, max_dots)
-        if (not e or e[0] != x_name) and len(e) <= limit
-    }
-    return restrict(a, (x_name,)).union(fresh)
+    if len(y) > 1:
+        fresh = {
+            (x, e) if x < e else (e, x)
+            for e in quotient(a, y, max_dots)
+            if (not e or e[0] != x_name) and len(e) <= limit
+        }
+        return restrict(a, (x_name,)).union(fresh)
+    fresh = {(x, y) if x < y else (y, x)}
+    dropped = []
+    for pair in a:
+        e, f = pair
+        if (e and e[0] == x_name) or (f and f[0] == x_name):
+            dropped.append(pair)
+        elif e == y:
+            if len(f) <= limit:
+                fresh.add((x, f) if x < f else (f, x))
+        elif f == y and len(e) <= limit:
+            fresh.add((x, e) if x < e else (e, x))
+    return (a.difference(dropped) if dropped else a).union(fresh)
 
 
 def subst_list(

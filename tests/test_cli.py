@@ -431,6 +431,35 @@ def test_nesting_at_limit_analyses(capsys, monkeypatch):
         assert out == "{x, y}\n"
 
 
+def test_iterate_count_too_long_to_convert_is_a_diagnostic(capsys, monkeypatch):
+    # A count longer than int() converts (4300 digits by default) used to
+    # end in a ValueError traceback with exit 1.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(
+            ["--level", "e0"], stdin_text="skip\niterate " + "7" * 4301 + " x := y end",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err == "<stdin>:2:9: iteration count of 4301 digits is too long\n"
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("procedure Main\n skip\nend\nprocedure Main\n skip\nend",
+     "<stdin>:4:1: procedure 'Main' is defined more than once"),
+    ("procedure q\n skip\nend", "<stdin>:1:1: no procedure named 'Main'"),
+    ("procedure q\n skip\nend\n procedure Main (x)\n skip\nend",
+     "<stdin>:4:2: 'Main' must not take arguments"),
+])
+def test_program_errors_name_the_declaration(text, diagnostic, capsys, monkeypatch):
+    code, out, err = run_cli([], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", diagnostic + "\n")
+
+
 # -- installed entry point ------------------------------------------------------------
 
 def test_module_entry_point_runs():

@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 from conftest import read_program
+from test_relations import ref_subst
 
 from aliascalc import relations as rel
 from aliascalc.cli import _render_trace
@@ -18,7 +19,7 @@ from aliascalc.engine import (
     resolve_max_dots,
     transfer_instructions,
 )
-from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, _walk, parse
+from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, _walk, parse, pretty
 from aliascalc.paths import concat, has_negation, negation, parse_path, var
 from aliascalc.randprog import random_program
 from aliascalc.relations import (
@@ -228,11 +229,16 @@ class RoundRobin(Analysis):
         raise RuntimeError("round-robin driver did not stabilize")
 
 
-def fixture_analysis(name, mode, driver=Analysis):
+def fixture_source(name):
+    """A fixture's text, its level and the relation its header's --init names."""
     text = read_program(name)
     found = re.search(r'--init "([^"]*)"', text)
-    init = lit(found.group(1) if found else "{}")
-    return driver(parse(text, level=name.rsplit(".", 1)[1]), AnalysisConfig(mode=mode), init)
+    return text, name.rsplit(".", 1)[1], lit(found.group(1) if found else "{}")
+
+
+def fixture_analysis(name, mode, driver=Analysis):
+    text, level, init = fixture_source(name)
+    return driver(parse(text, level=level), AnalysisConfig(mode=mode), init)
 
 
 def replay_lookups(analysis, key):
@@ -749,6 +755,53 @@ def test_worst_case_keys_and_pairs():
     with open(path, encoding="utf-8") as handle:
         result = run(handle.read())
     assert (result.summary_keys, len(result.relation)) == (41, 33)
+
+
+# -- kernels and program facts in whole analyses -------------------------------------
+
+def test_subst_agrees_with_copying_version_on_every_recorded_call(monkeypatch):
+    # Every assignment and formal binding the fixtures (at their header
+    # --init) and 300 bench/gen.py programs make, in both modes: the
+    # split-free sources take subst's one-scan path, the dotted ones the
+    # quotient, and both must agree with the copying version.
+    calls = {}
+    subst = rel.subst
+
+    def recording(*args):
+        out = calls[args] = subst(*args)
+        return out
+
+    monkeypatch.setattr(rel, "subst", recording)
+    for name in FIXTURES:
+        for mode in ("may", "must"):
+            fixture_analysis(name, mode).run()
+    for seed in range(300):
+        program, init = generated(seed)
+        for mode in ("may", "must"):
+            Analysis(program, AnalysisConfig(mode=mode), init).run()
+    split_free = sum(len(y) <= 1 for _, _, y, _ in calls)
+    assert 0 < split_free < len(calls)
+    for (a, x, y, max_dots), out in calls.items():
+        assert out == ref_subst(a, x, y, max_dots), (a, x, y, max_dots)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["gen-%d" % seed for seed in range(12)])
+def test_one_parsed_program_serves_every_mode_and_budget(name):
+    # The program's facts are computed by its first analysis and shared by
+    # the rest, so the order of modes and budgets must not matter.
+    if name.startswith("gen-"):
+        program, init = generated(int(name[4:]))
+        text, level = pretty(program), program.level
+    else:
+        text, level, init = fixture_source(name)
+    runs = [(mode, max_dots) for max_dots in (None, 1) for mode in ("may", "must")]
+    fresh = {run_: outcome(Analysis(parse(text, level=level), AnalysisConfig(*run_), init), False)
+             for run_ in runs}
+    for order in (runs, runs[::-1], runs[1::2] + runs[::2]):
+        program = parse(text, level=level)
+        for run_ in order:
+            got = outcome(Analysis(program, AnalysisConfig(*run_), init), False)
+            assert got == fresh[run_], run_
 
 
 # -- trace ---------------------------------------------------------------------------

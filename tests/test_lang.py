@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 from conftest import ROOT, read_program
@@ -17,7 +18,6 @@ from aliascalc.lang import (
     Repeat,
     Skip,
     SourceError,
-    Token,
     _TOKEN_RE,
     expressions_of,
     instructions_of,
@@ -38,15 +38,15 @@ def body_of(text, level="e2"):
 
 def test_tokenize_positions():
     toks = tokenize("x := y\ncut a, b")
-    assign = next(t for t in toks if t.kind == "ASSIGN")
-    assert (assign.line, assign.col) == (1, 3)
-    cut = next(t for t in toks if t.text == "cut")
-    assert (cut.line, cut.col) == (2, 1)
+    assign = next((line, col) for kind, _, line, col in toks if kind == "ASSIGN")
+    assert assign == (1, 3)
+    cut = next((line, col) for _, text, line, col in toks if text == "cut")
+    assert cut == (2, 1)
 
 
 def test_tokenize_comments_and_separators():
     toks = tokenize("skip -- trailing words := ; ,\nskip")
-    kinds = [t.kind for t in toks]
+    kinds = [kind for kind, _, _, _ in toks]
     assert kinds == ["NAME", "SEP", "NAME", "EOF"]
 
 
@@ -71,14 +71,14 @@ def reference_tokenize(text):
         tok_text = m.group()
         col = pos - line_start + 1
         if kind == "sep":
-            tokens.append(Token("SEP", tok_text, line, col))
+            tokens.append(("SEP", tok_text, line, col))
             if tok_text == "\n":
                 line += 1
                 line_start = m.end()
         elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind.upper(), tok_text, line, col))
+            tokens.append((kind.upper(), tok_text, line, col))
         pos = m.end()
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -228,6 +228,44 @@ def test_main_must_exist_and_take_no_arguments():
         parse("procedure other\n skip\nend")
     with pytest.raises(SourceError):
         parse("procedure Main (x)\n skip\nend")
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("procedure Main\n skip\nend\nprocedure q\n skip\nend\n  procedure Main\n skip\nend",
+     "procedure 'Main' is defined more than once", 7, 3),
+    ("procedure p\n skip\nend\nprocedure q\n skip\nend\nprocedure q\n skip\nend\n"
+     "procedure p\n skip\nend", "procedure 'q' is defined more than once", 7, 1),
+    ("\n\n  procedure other\n skip\nend\nprocedure more\n skip\nend",
+     "no procedure named 'Main'", 3, 3),
+    ("procedure q\n skip\nend\nprocedure Main (x)\n skip\nend",
+     "'Main' must not take arguments", 4, 1),
+])
+def test_program_errors_are_reported_at_the_declaration(text, message, line, col):
+    with pytest.raises(SourceError) as err:
+        parse(text, level="e1")
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_procedure_positions_do_not_affect_equality():
+    assert Procedure("q", (), (), pos=(3, 7)) == Procedure("q", (), ())
+    prog = parse("procedure Main\n skip\nend\n procedure q (f)\n skip\nend", level="e1")
+    assert [p.pos for p in prog.procedures] == [(1, 1), (4, 2)]
+
+
+def test_iterate_count_past_the_int_conversion_limit():
+    # int() converts at most sys.get_int_max_str_digits() digits, 4300 by
+    # default; a longer count is reported at the count.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        (ins,) = body_of("iterate " + "9" * 4300 + " skip end")
+        assert ins.count == 10 ** 4300 - 1
+        with pytest.raises(SourceError) as err:
+            parse("skip\n  iterate " + "9" * 4301 + " skip end")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "iteration count of 4301 digits is too long", 2, 11)
 
 
 def test_level_fences():
