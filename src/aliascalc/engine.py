@@ -71,7 +71,6 @@ budget and the must seed, which depend on both, are set up per analysis.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import relations as rel
@@ -87,6 +86,7 @@ from .lang import (
     MAX_NESTING,
     Procedure,
     Program,
+    Record,
     Repeat,
     Skip,
     max_dot_count,
@@ -104,26 +104,33 @@ MAX_ROUNDS = 1000  # body evaluations of one summary key
 LOOP_CAP = 100_000  # steps of one loop's accumulation chain
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    mode: str = "may"  # "may" or "must"
-    max_dots: Optional[int] = None  # None: derived from the program
+class AnalysisConfig(Record):
+    __slots__ = ("mode", "max_dots")
+
+    def __init__(self, mode: str = "may", max_dots: Optional[int] = None):
+        object.__setattr__(self, "mode", mode)  # "may" or "must"
+        object.__setattr__(self, "max_dots", max_dots)  # None: derived from the program
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    context: str  # procedure name plus the entry relation it was run from
-    label: str  # one-line instruction text, or "t_k" inside a loop
-    relation: Relation
+class TracePoint(Record):
+    __slots__ = ("context", "label", "relation")
+
+    def __init__(self, context: str, label: str, relation: Relation):
+        # context: procedure name plus the entry relation it was run from;
+        # label: one-line instruction text, or "t_k" inside a loop
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "relation", relation)
 
 
-@dataclass
 class AnalysisResult:
-    relation: Relation
-    procedure_exits: Dict[str, Relation]
-    summary_keys: int
-    rounds: int
-    trace: List[TracePoint] = field(default_factory=list)
+    def __init__(self, relation: Relation, procedure_exits: Dict[str, Relation],
+                 summary_keys: int, rounds: int, trace: Optional[List[TracePoint]] = None):
+        self.relation = relation
+        self.procedure_exits = procedure_exits
+        self.summary_keys = summary_keys
+        self.rounds = rounds
+        self.trace: List[TracePoint] = [] if trace is None else trace
 
 
 def resolve_max_dots(program: Program, config: AnalysisConfig, init: Relation) -> int:
@@ -200,58 +207,66 @@ class Analysis:
     # -- transfer ------------------------------------------------------------
 
     def transfer(self, a: Relation, ins: Instruction) -> Relation:
-        if isinstance(ins, Call):
-            if ins.qualifier:
-                return self.call_qualified(a, ins)
-            return self.call_unqualified(a, ins)
-        if isinstance(ins, (Cond, Loop, Repeat)) and id(ins) not in self._call_free:
-            return self._apply(a, ins)
+        kind = type(ins)
+        if kind is Call or (kind in _BLOCKS and id(ins) not in self._call_free):
+            return _RULES[kind](self, a, ins)
         key = (id(ins), a)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = self._apply(a, ins)
+            out = self.memo[key] = _RULES[kind](self, a, ins)
         return out
 
-    def _apply(self, a: Relation, ins: Instruction) -> Relation:
-        """The transfer rule of one instruction other than a call."""
-        if isinstance(ins, Skip):
-            return a
-        if isinstance(ins, (Create, Forget)):
-            return rel.restrict(a, {ins.name})
-        if isinstance(ins, Cut):
-            return rel.cut_pair(a, ins.left, ins.right)
-        if isinstance(ins, Assign):
-            return rel.subst(a, ins.target, ins.source, self.max_dots)
-        if isinstance(ins, Cond):
-            return self.combine(
-                self.transfer_body(a, ins.then_branch),
-                self.transfer_body(a, ins.else_branch),
-            )
-        if isinstance(ins, Repeat):
-            # The table is fixed during one body evaluation, so a pass is a
-            # function of its input: once a relation recurs, the passes
-            # cycle with period n - first, and the relation after all
-            # count passes is one already seen (list(seen) is the history,
-            # in pass order).
-            seen: Dict[Relation, int] = {}  # relation -> passes before it
-            out = a
-            for n in range(ins.count):
-                first = seen.get(out)
-                if first is not None:
-                    return list(seen)[first + (ins.count - first) % (n - first)]
-                seen[out] = n
-                out = self.transfer_body(out, ins.body)
-            return out
-        if isinstance(ins, Loop):
-            return self.loop_fixpoint(a, ins.body)
-        raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
+    # The transfer rule of each instruction type; ``_RULES`` maps the type
+    # to its rule.
+
+    def _skip(self, a: Relation, ins: Skip) -> Relation:
+        return a
+
+    def _kill(self, a: Relation, ins: Create | Forget) -> Relation:
+        return rel.restrict(a, {ins.name})
+
+    def _cut(self, a: Relation, ins: Cut) -> Relation:
+        return rel.cut_pair(a, ins.left, ins.right)
+
+    def _assign(self, a: Relation, ins: Assign) -> Relation:
+        return rel.subst(a, ins.target, ins.source, self.max_dots)
+
+    def _cond(self, a: Relation, ins: Cond) -> Relation:
+        return self.combine(
+            self.transfer_body(a, ins.then_branch),
+            self.transfer_body(a, ins.else_branch),
+        )
+
+    def _repeat(self, a: Relation, ins: Repeat) -> Relation:
+        # The table is fixed during one body evaluation, so a pass is a
+        # function of its input: once a relation recurs, the passes
+        # cycle with period n - first, and the relation after all
+        # count passes is one already seen (list(seen) is the history,
+        # in pass order).
+        seen: Dict[Relation, int] = {}  # relation -> passes before it
+        out = a
+        for n in range(ins.count):
+            first = seen.get(out)
+            if first is not None:
+                return list(seen)[first + (ins.count - first) % (n - first)]
+            seen[out] = n
+            out = self.transfer_body(out, ins.body)
+        return out
+
+    def _loop(self, a: Relation, ins: Loop) -> Relation:
+        return self.loop_fixpoint(a, ins.body)
+
+    def _call(self, a: Relation, ins: Call) -> Relation:
+        if ins.qualifier:
+            return self.call_qualified(a, ins)
+        return self.call_unqualified(a, ins)
 
     def transfer_body(
         self, a: Relation, body: Sequence[Instruction], record: Optional[Recorder] = None
     ) -> Relation:
         out = a
         for ins in body:
-            if record is not None and isinstance(ins, Loop):
+            if record is not None and type(ins) is Loop:
                 out = self.loop_fixpoint(out, ins.body, record)
             else:
                 out = self.transfer(out, ins)
@@ -446,6 +461,22 @@ class Analysis:
             self.transfer_body(key_entry, self.program.procedure(name).body, record)
         result.trace = points
         return result
+
+
+_RULES: Dict[type, Callable[[Analysis, Relation, Instruction], Relation]] = {
+    Skip: Analysis._skip,
+    Create: Analysis._kill,
+    Forget: Analysis._kill,
+    Cut: Analysis._cut,
+    Assign: Analysis._assign,
+    Cond: Analysis._cond,
+    Loop: Analysis._loop,
+    Repeat: Analysis._repeat,
+    Call: Analysis._call,
+}
+# Compound instructions: memoized only when they contain no call (a call is
+# never memoized as a whole).
+_BLOCKS = frozenset((Cond, Loop, Repeat))
 
 
 def analyze(

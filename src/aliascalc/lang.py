@@ -26,8 +26,8 @@ analysis can use anyway.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .paths import CURRENT, Path, dot_count, render, var
@@ -61,55 +61,116 @@ class SourceError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """An immutable value record.  A subclass names its fields in
+    ``__slots__`` and stores them in its own ``__init__`` through
+    ``object.__setattr__``; assigning or deleting a field afterwards
+    raises ``AttributeError``.  The fields in ``_compared`` (all of them
+    unless the subclass says otherwise) make up ``==``, ``hash`` and
+    ``repr``, and a record equals only records of its own type.
+
+    Written out by hand instead of with ``dataclasses``: that module
+    imports ``inspect`` and ``ast`` and generates each class's methods with
+    ``exec``, which together made up most of the package's share of an
+    ``alias-calc`` run's start-up."""
+
+    __slots__ = ()
+    _compared: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_compared" not in cls.__dict__:
+            cls._compared = tuple(cls.__slots__)
+        # The type's name and the compared fields, fetched in one C call; the
+        # name rather than the type keeps hashes fixed under PYTHONHASHSEED.
+        cls._key = attrgetter("__class__.__name__", *cls._compared)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Create:
-    name: str
+class Create(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Forget:
-    name: str
+class Forget(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Cut:
-    left: Path
-    right: Path
+class Cut(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Path, right: Path):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: Path  # always a single variable; the parser enforces it
-    source: Path
+class Assign(Record):
+    __slots__ = ("target", "source")
+
+    def __init__(self, target: Path, source: Path):
+        # target is always a single variable; the parser enforces it
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class Cond:
-    then_branch: Tuple["Instruction", ...]
-    else_branch: Tuple["Instruction", ...]
+class Cond(Record):
+    __slots__ = ("then_branch", "else_branch")
+
+    def __init__(self, then_branch: Tuple["Instruction", ...],
+                 else_branch: Tuple["Instruction", ...]):
+        object.__setattr__(self, "then_branch", then_branch)
+        object.__setattr__(self, "else_branch", else_branch)
 
 
-@dataclass(frozen=True)
-class Loop:
-    body: Tuple["Instruction", ...]
+class Loop(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Tuple["Instruction", ...]):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Repeat:
-    count: int
-    body: Tuple["Instruction", ...]
+class Repeat(Record):
+    __slots__ = ("count", "body")
+
+    def __init__(self, count: int, body: Tuple["Instruction", ...]):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     """``call r (args)`` or ``call x.r (args)``.
 
     ``qualifier`` is the path before the procedure name — empty for an
@@ -117,25 +178,34 @@ class Call:
     and does not participate in equality.
     """
 
-    qualifier: Path
-    proc: str
-    args: Tuple[Path, ...] = ()
-    pos: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    __slots__ = ("qualifier", "proc", "args", "pos")
+    _compared = ("qualifier", "proc", "args")
+
+    def __init__(self, qualifier: Path, proc: str, args: Tuple[Path, ...] = (),
+                 pos: Tuple[int, int] = (0, 0)):
+        object.__setattr__(self, "qualifier", qualifier)
+        object.__setattr__(self, "proc", proc)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "pos", pos)
 
 
 Instruction = Union[Skip, Create, Forget, Cut, Assign, Cond, Loop, Repeat, Call]
 
 
-@dataclass(frozen=True)
-class Procedure:
+class Procedure(Record):
     """A procedure declaration.  ``pos`` is the position of its
     ``procedure`` keyword, for diagnostics, and does not participate in
     equality."""
 
-    name: str
-    formals: Tuple[str, ...]
-    body: Tuple[Instruction, ...]
-    pos: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    __slots__ = ("name", "formals", "body", "pos")
+    _compared = ("name", "formals", "body")
+
+    def __init__(self, name: str, formals: Tuple[str, ...], body: Tuple[Instruction, ...],
+                 pos: Tuple[int, int] = (0, 0)):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "formals", formals)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "pos", pos)
 
 
 class ProgramFacts(NamedTuple):
@@ -148,23 +218,21 @@ class ProgramFacts(NamedTuple):
     costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A parsed program.  ``facts`` is computed on first use and kept with
     the program, so every analysis of one program shares one copy; the
     instruction ids in it stay valid as long as the program lives."""
 
-    procedures: Tuple[Procedure, ...]
-    main: str = "Main"
-    level: str = "e2"
-    _by_name: Dict[str, Procedure] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # __dict__ holds the cached facts (cached_property writes it directly).
+    __slots__ = ("procedures", "main", "level", "_by_name", "__dict__")
+    _compared = ("procedures", "main", "level")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_name", {p.name: p for p in self.procedures}
-        )
+    def __init__(self, procedures: Tuple[Procedure, ...], main: str = "Main",
+                 level: str = "e2"):
+        object.__setattr__(self, "procedures", procedures)
+        object.__setattr__(self, "main", main)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "_by_name", {p.name: p for p in procedures})
 
     def procedure(self, name: str) -> Procedure:
         try:

@@ -23,8 +23,7 @@ modified variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import relations as rel
 from .engine import Analysis, AnalysisConfig
@@ -38,6 +37,7 @@ from .lang import (
     Instruction,
     Loop,
     Program,
+    Record,
     Repeat,
     Skip,
     expressions_of,
@@ -48,23 +48,25 @@ from .paths import render, var
 from .relations import Relation
 
 
-@dataclass(frozen=True)
-class ExecBounds:
-    loop_unroll: int = 4
-    max_paths: int = 20_000
+class ExecBounds(Record):
+    __slots__ = ("loop_unroll", "max_paths")
 
-    def __post_init__(self):
-        if self.loop_unroll < 1 or self.max_paths < 1:
+    def __init__(self, loop_unroll: int = 4, max_paths: int = 20_000):
+        if loop_unroll < 1 or max_paths < 1:
             raise ValueError("bounds must be positive")
+        object.__setattr__(self, "loop_unroll", loop_unroll)
+        object.__setattr__(self, "max_paths", max_paths)
 
 
-@dataclass(frozen=True)
-class ConcreteState:
+class ConcreteState(Record):
     """values: sorted (variable, address) pairs; next_addr: first address
     never yet allocated.  Defined variables are exactly the value keys."""
 
-    values: Tuple[Tuple[str, int], ...]
-    next_addr: int
+    __slots__ = ("values", "next_addr")
+
+    def __init__(self, values: Tuple[Tuple[str, int], ...], next_addr: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "next_addr", next_addr)
 
     def value_map(self) -> Dict[str, int]:
         return dict(self.values)
@@ -80,12 +82,15 @@ def initial_state(variables: Iterable[str]) -> ConcreteState:
     return _mk_state({v: i for i, v in enumerate(names)}, len(names))
 
 
-@dataclass(frozen=True)
-class Execution:
-    state: ConcreteState
-    assigned: FrozenSet[str] = frozenset()
-    cut_violations: FrozenSet[str] = frozenset()
-    trail: Tuple[str, ...] = ()
+class Execution(Record):
+    __slots__ = ("state", "assigned", "cut_violations", "trail")
+
+    def __init__(self, state: ConcreteState, assigned: FrozenSet[str] = frozenset(),
+                 cut_violations: FrozenSet[str] = frozenset(), trail: Tuple[str, ...] = ()):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "assigned", assigned)
+        object.__setattr__(self, "cut_violations", cut_violations)
+        object.__setattr__(self, "trail", trail)
 
     def key(self):
         """Identity for deduplication: everything but the witness trail."""
@@ -161,10 +166,7 @@ class Interpreter:
         if isinstance(ins, Loop):
             return self.run_loop(execs, ins.body)
         if isinstance(ins, Repeat):
-            out = execs
-            for _ in range(ins.count):
-                out = self.run_body(out, ins.body)
-            return out
+            return self.run_repeat(execs, ins)
         return self._clamp(
             _exec_set(self.step_one(ex, ins) for ex in execs.values())
         )
@@ -217,6 +219,29 @@ class Interpreter:
             )
         raise TypeError(f"unhandled instruction {ins!r}")  # pragma: no cover
 
+    def run_repeat(self, execs: ExecSet, ins: Repeat) -> ExecSet:
+        """``ins.count`` passes of the body.  Which executions a pass yields,
+        and in what order, depends only on the keys of its input in order
+        (trails are carried along, never read), so once the keys recur the
+        passes cycle.  Each pass's keys are compared with one saved pass,
+        re-saved at every power-of-two pass (Brent's cycle detection), so
+        memory stays constant; on a match at pass n the period is n minus
+        the saved pass, and only the remaining passes modulo it run.  The
+        result has the executions of all count passes; its witness trails
+        are those of the shorter run that reaches them."""
+        out = execs
+        saved, saved_at = list(execs), 0
+        for n in range(1, ins.count + 1):
+            out = self.run_body(out, ins.body)
+            keys = list(out)
+            if keys == saved:
+                for _ in range((ins.count - n) % (n - saved_at)):
+                    out = self.run_body(out, ins.body)
+                return out
+            if n & (n - 1) == 0:
+                saved, saved_at = keys, n
+        return out
+
     def run_loop(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
         """Exits after 0..unroll iterations; a probe iteration decides
         whether stopping was an artifact of the bound."""
@@ -240,11 +265,11 @@ def _mark(ex: Execution, token: str) -> Execution:
     return Execution(ex.state, ex.assigned, ex.cut_violations, ex.trail + (token,))
 
 
-@dataclass
 class RunResult:
-    executions: List[Execution]
-    bounded: bool
-    truncated: bool
+    def __init__(self, executions: List[Execution], bounded: bool, truncated: bool):
+        self.executions = executions
+        self.bounded = bounded
+        self.truncated = truncated
 
 
 def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResult:
@@ -271,14 +296,22 @@ def path_union_aliases(run: RunResult) -> Relation:
     return out
 
 
-@dataclass
 class SoundnessReport:
-    paths: int
-    bounded: bool
-    containment_violations: List[str] = field(default_factory=list)
-    cut_violations: List[str] = field(default_factory=list)
-    modvar_violations: List[str] = field(default_factory=list)
-    computed: Relation = rel.EMPTY
+    def __init__(
+        self,
+        paths: int,
+        bounded: bool,
+        containment_violations: Optional[List[str]] = None,
+        cut_violations: Optional[List[str]] = None,
+        modvar_violations: Optional[List[str]] = None,
+        computed: Relation = rel.EMPTY,
+    ):
+        self.paths = paths
+        self.bounded = bounded
+        self.containment_violations = [] if containment_violations is None else containment_violations
+        self.cut_violations = [] if cut_violations is None else cut_violations
+        self.modvar_violations = [] if modvar_violations is None else modvar_violations
+        self.computed = computed
 
     @property
     def violation_count(self) -> int:

@@ -471,3 +471,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "{x, y}\n"
+
+
+def test_soundness_of_a_long_iterate_returns_quickly():
+    # A period-2 body: the oracle reads the count off the cycle, as the
+    # analysis does, instead of running 10^20 passes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "aliascalc.cli", "-", "--level", "e0", "--output", "soundness"],
+        input="iterate 99999999999999999999\n  t := x ; x := y ; y := t\nend\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "checked 1 paths, 0 violations, bounded: no\n"
+
+
+def loaded_modules(statement):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Importing them cost every alias-calc run about 10 ms of start-up, and
+    # decorating the records with dataclasses about as much again.
+    added = loaded_modules("import aliascalc.cli") - loaded_modules("pass")
+    assert "aliascalc.cli" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -15,6 +15,7 @@ from aliascalc.engine import (
     MAX_ROUNDS,
     Analysis,
     AnalysisConfig,
+    TracePoint,
     analyze,
     resolve_max_dots,
     transfer_instructions,
@@ -835,7 +836,30 @@ def test_trace_context_carries_entry_relation():
     assert render_relation(res.trace[0].relation) == "{b, c}, {f, g, x, z}"
 
 
+def test_trace_points_compare_by_value():
+    # outcome() compares whole traces of two analyses.
+    text = read_program("mutual_recursion.e1")
+    first = analyze(parse(text, level="e1"), trace=True).trace
+    second = analyze(parse(text, level="e1"), trace=True).trace
+    assert first == second and first is not second
+    point = TracePoint("Main from {}", "x := y", lit("{x,y}"))
+    assert point == TracePoint("Main from {}", "x := y", lit("{x,y}"))
+    assert point != TracePoint("Main from {}", "x := y", lit("{}"))
+    assert hash(point) == hash(TracePoint("Main from {}", "x := y", lit("{x,y}")))
+    with pytest.raises(AttributeError):
+        point.label = "skip"
+
+
 # -- configuration ----------------------------------------------------------------------
+
+def test_config_is_an_immutable_value():
+    assert AnalysisConfig() == AnalysisConfig("may", None)
+    assert AnalysisConfig("must", 2) == AnalysisConfig(mode="must", max_dots=2)
+    assert AnalysisConfig("must") != AnalysisConfig("may")
+    assert repr(AnalysisConfig("must", 2)) == "AnalysisConfig(mode='must', max_dots=2)"
+    with pytest.raises(AttributeError):
+        MUST.mode = "may"
+
 
 def test_resolve_max_dots_floors_at_three():
     prog = parse("x := y", level="e2")

@@ -185,6 +185,52 @@ def test_parse_calls():
 
 def test_call_positions_do_not_affect_equality():
     assert Call((), "q", (), pos=(3, 7)) == Call((), "q", ())
+    assert hash(Call((), "q", (), pos=(3, 7))) == hash(Call((), "q", ()))
+    assert repr(Call((), "q", (), pos=(3, 7))) == "Call(qualifier=(), proc='q', args=())"
+
+
+# -- records -----------------------------------------------------------------------
+
+def test_records_equal_only_records_of_their_own_type():
+    assert Create("x") == Create("x") and hash(Create("x")) == hash(Create("x"))
+    assert Create("x") != Forget("x")
+    assert hash(Create("x")) != hash(Forget("x"))
+    assert Loop(()) != Cond((), ())
+    assert Skip() == Skip() and Skip() != Loop(())
+    assert Create("x") != ("x",) and Create("x") != "x"
+    assert len({Create("x"), Forget("x"), Create("x"), Skip()}) == 3
+    assert Repeat(2, (Skip(),)) != Repeat(3, (Skip(),))
+    assert parse("x := y", level="e0") != parse("x := y", level="e2")
+
+
+def test_record_repr_names_every_compared_field():
+    assert repr(Assign(var("x"), var("y"))) == "Assign(target=('x',), source=('y',))"
+    assert repr(Skip()) == "Skip()"
+    assert repr(Program((), level="e0")) == "Program(procedures=(), main='Main', level='e0')"
+
+
+@pytest.mark.parametrize("record, field", [
+    (Create("x"), "name"),
+    (Assign(var("x"), var("y")), "source"),
+    (Call((), "q", (), pos=(1, 1)), "pos"),
+    (Procedure("q", (), ()), "body"),
+    (Program(()), "level"),
+])
+def test_record_fields_cannot_be_assigned_or_deleted(record, field):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == before
+
+
+def test_program_facts_are_computed_once():
+    prog = parse("x := y.a")
+    assert prog.facts is prog.facts
+    assert prog.facts.max_dots == 1
 
 
 # -- errors ----------------------------------------------------------------------
@@ -248,6 +294,8 @@ def test_program_errors_are_reported_at_the_declaration(text, message, line, col
 
 def test_procedure_positions_do_not_affect_equality():
     assert Procedure("q", (), (), pos=(3, 7)) == Procedure("q", (), ())
+    assert hash(Procedure("q", (), (), pos=(3, 7))) == hash(Procedure("q", (), ()))
+    assert repr(Procedure("q", (), (), pos=(3, 7))) == "Procedure(name='q', formals=(), body=())"
     prog = parse("procedure Main\n skip\nend\n procedure q (f)\n skip\nend", level="e1")
     assert [p.pos for p in prog.procedures] == [(1, 1), (4, 2)]
 

@@ -4,8 +4,11 @@ from conftest import read_program
 from aliascalc.engine import AnalysisConfig
 from aliascalc.lang import parse
 from aliascalc.oracle import (
+    ConcreteState,
     ExecBounds,
     Execution,
+    Interpreter,
+    _exec_set,
     aliases_of,
     check_soundness,
     ensure_base_tier,
@@ -138,6 +141,60 @@ def test_repeat_runs_exactly_n_times():
     (ex,) = run.executions
     vm = ex.state.value_map()
     assert vm["x"] == vm["z"] == vm["y"]
+
+
+ROTATION = "iterate {} t := x ; x := y ; y := t end"
+
+
+@pytest.mark.parametrize("count, same_as", [(10**20, 2), (10**20 + 1, 3), (1_000_000, 2)])
+def test_repeat_reads_a_long_count_off_the_cycle(count, same_as):
+    # The swap has period 2; the long run would take hours pass by pass.
+    got = run_program(parse(ROTATION.format(count), level="e0"))
+    want = run_program(parse(ROTATION.format(same_as), level="e0"))
+    assert got.executions == want.executions
+    assert (got.bounded, got.truncated) == (want.bounded, want.truncated)
+
+
+class PassByPass(Interpreter):
+    """Runs every pass of an iterate, without looking for a cycle."""
+
+    def run_repeat(self, execs, ins):
+        for _ in range(ins.count):
+            execs = self.run_body(execs, ins.body)
+        return execs
+
+
+@pytest.mark.parametrize("body", [
+    "t := x ; x := y ; y := t",
+    "t := x ; x := y ; y := t ; then a := x else skip end",
+    "then a := b else b := a end ; forget c",
+    "loop x := y ; y := t end ; create a",
+    "then create a else a := x end",
+])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 8, 13, 40])
+def test_repeat_keeps_the_executions_of_every_pass(body, count):
+    program = parse(f"create z\niterate {count} {body} end\nt := z", level="e0")
+    start = _exec_set([Execution(initial_state(program_variables(program)))])
+    main = program.procedure("Main").body
+    fast, slow = Interpreter(ExecBounds(max_paths=50)), PassByPass(ExecBounds(max_paths=50))
+    got, want = fast.run_body(start, main), slow.run_body(start, main)
+    assert list(got) == list(want)
+    assert (fast.bounded, fast.truncated) == (slow.bounded, slow.truncated)
+
+
+def test_execution_records_hash_and_compare_by_value():
+    state = initial_state(["x", "y"])
+    assert state == ConcreteState((("x", 0), ("y", 1)), 2)
+    assert hash(state) == hash(ConcreteState((("x", 0), ("y", 1)), 2))
+    assert state != ConcreteState((("x", 0), ("y", 1)), 3)
+    ex = Execution(state, frozenset({"x"}))
+    assert ex == Execution(state, frozenset({"x"}), frozenset(), ())
+    assert ex != Execution(state, frozenset({"x"}), trail=("then",))
+    assert ex.key() == Execution(state, frozenset({"x"}), trail=("then",)).key()
+    with pytest.raises(AttributeError):
+        ex.trail = ()
+    with pytest.raises(ValueError):
+        ExecBounds(loop_unroll=0)
 
 
 def test_truncation_flag():
