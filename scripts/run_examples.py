@@ -5,7 +5,10 @@ file extension; its initial relation is the ``--init "..."`` written in its
 header comment (empty when there is none).
 
 Usage:
-    python3 scripts/run_examples.py [--programs DIR] [--trace]
+    python3 scripts/run_examples.py [--programs DIR]
+
+For the per-instruction trace of one program, run ``alias-calc --output
+trace`` on it.
 """
 
 import argparse
@@ -27,11 +30,6 @@ def main() -> int:
         default=os.path.join(os.path.dirname(__file__), "..", "programs"),
         help="directory holding the example programs",
     )
-    ap.add_argument(
-        "--trace",
-        action="store_true",
-        help="also print the per-instruction trace for each example",
-    )
     args = ap.parse_args()
 
     for name in sorted(os.listdir(args.programs)):
@@ -41,11 +39,8 @@ def main() -> int:
         found = re.search(r'--init "([^"]*)"', text)
         init_text = found.group(1) if found else "{}"
         init = parse_relation_literal(init_text)
-        result = analyze(parse(text, level=level), init, trace=args.trace)
+        result = analyze(parse(text, level=level), init)
         print(f"== {name}  (level {level}, init {init_text})")
-        if args.trace:
-            for point in result.trace:
-                print(f"   {point.label}  =>  {render_relation(point.relation)}")
         print(f"   {render_relation(result.relation)}")
     return 0
 

@@ -1,7 +1,7 @@
 """Compositional may-alias analysis over a family of toy instruction
 languages, with a concrete reference interpreter for validating results."""
 
-from .engine import AnalysisConfig, AnalysisResult, analyze, transfer_instructions
+from .engine import AnalysisConfig, AnalysisResult, analyze
 from .lang import Program, SourceError, parse
 from .modvars import modified_vars
 from .oracle import ExecBounds, check_soundness, run_program
@@ -22,7 +22,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "analyze",
-    "transfer_instructions",
     "Program",
     "SourceError",
     "parse",

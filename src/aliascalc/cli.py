@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import relations as rel
 from .engine import AnalysisConfig, analyze, resolve_max_dots
-from .lang import SourceError, expressions_of, parse
+from .lang import SourceError, parse
 from .modvars import modified_vars
 from .oracle import ExecBounds, check_soundness
 from .paths import Path, render
@@ -152,14 +152,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{name}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 2
 
-    config = AnalysisConfig(mode=args.mode, max_dots=args.max_dots)
-
     if args.output == "soundness":
-        report = check_soundness(
-            program, bounds=ExecBounds(loop_unroll=args.unroll), config=config
-        )
+        report = check_soundness(program, ExecBounds(loop_unroll=args.unroll))
         print(report.render())
         return 3 if report.violation_count else 0
+
+    config = AnalysisConfig(mode=args.mode, max_dots=args.max_dots)
 
     if args.output == "modvars":
         sets = modified_vars(program, resolve_max_dots(program, config, init))
@@ -175,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.output == "trace":
         print(_render_trace(result.trace))
     elif args.output == "assertion":
-        print(to_assertion(result.relation, expressions_of(program)))
+        print(to_assertion(result.relation, program.facts.expressions))
     elif args.output == "dot":
         print(emit_dot(rel.canonical(result.relation)))
     return 0

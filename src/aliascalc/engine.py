@@ -10,9 +10,9 @@ The transfer of a relation through an instruction follows one rule per form:
 * sequence — left fold.
 * ``then p else q end`` — union of the two branch results in may mode,
   intersection in must mode (there is no condition to test).
-* ``iterate n`` — n-fold application.  The relations seen are remembered
-  with their pass index; once one recurs the passes cycle, and the result
-  is read off the cycle instead of running the rest.
+* ``iterate n`` — n-fold application.  Once a relation recurs the passes
+  cycle, and only the remaining passes modulo the period run
+  (``lang.iterate``, the rule the concrete interpreter shares).
 * ``loop`` — least (may) / greatest (must) fixpoint of the one-step
   extension, reached in finitely many steps because the pair universe is
   finite and the step is monotone.
@@ -62,9 +62,9 @@ depend on which.
 
 What an analysis reads off the program itself — its expressions and their
 dot depth, which compound instructions contain no call, and each
-procedure's nesting cost — depends on neither mode nor budget, so it is
-computed once per ``Program`` (``Program.facts``) and shared by every
-analysis of it, as the may and must runs of one job share it.  Only the
+procedure's nesting cost — depends on neither mode nor budget, so one walk
+reads it when the ``Program`` is built (``Program.facts``), and every
+analysis of it, as the may and must runs of one job, shares it.  Only the
 budget and the must seed, which depend on both, are set up per analysis.
 """
 
@@ -89,7 +89,7 @@ from .lang import (
     Record,
     Repeat,
     Skip,
-    max_dot_count,
+    iterate,
     one_line,
 )
 from .paths import concat, dot_count, has_negation, negation
@@ -140,7 +140,7 @@ def resolve_max_dots(program: Program, config: AnalysisConfig, init: Relation) -
     list-manipulation examples)."""
     if config.max_dots is not None:
         return config.max_dots
-    depth = max_dot_count(program)
+    depth = program.facts.max_dots
     for e in rel.elements(init):
         depth = max(depth, dot_count(e))
     return max(depth, 3)
@@ -238,20 +238,10 @@ class Analysis:
         )
 
     def _repeat(self, a: Relation, ins: Repeat) -> Relation:
-        # The table is fixed during one body evaluation, so a pass is a
-        # function of its input: once a relation recurs, the passes
-        # cycle with period n - first, and the relation after all
-        # count passes is one already seen (list(seen) is the history,
-        # in pass order).
-        seen: Dict[Relation, int] = {}  # relation -> passes before it
-        out = a
-        for n in range(ins.count):
-            first = seen.get(out)
-            if first is not None:
-                return list(seen)[first + (ins.count - first) % (n - first)]
-            seen[out] = n
-            out = self.transfer_body(out, ins.body)
-        return out
+        # A summary key keeps its value once looked up during one body
+        # evaluation, so a pass is a function of its input: its own key.
+        return iterate(lambda r: self.transfer_body(r, ins.body), a, ins.count,
+                       key=lambda r: r)
 
     def _loop(self, a: Relation, ins: Loop) -> Relation:
         return self.loop_fixpoint(a, ins.body)
@@ -493,13 +483,3 @@ def analyze(
         return analysis.run_with_trace()
     return analysis.run()
 
-
-def transfer_instructions(
-    program: Program,
-    body: Sequence[Instruction],
-    init: Relation = rel.EMPTY,
-    config: AnalysisConfig = AnalysisConfig(),
-) -> Relation:
-    """Transfer a relation through a bare instruction sequence in the
-    context of a program (used for unit-level checks of single rules)."""
-    return Analysis(program, config, init).transfer_body(init, body)

@@ -26,9 +26,11 @@ analysis can use anyway.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar,
+    Union,
+)
 
 from .paths import CURRENT, Path, dot_count, render, var
 
@@ -219,12 +221,11 @@ class ProgramFacts(NamedTuple):
 
 
 class Program(Record):
-    """A parsed program.  ``facts`` is computed on first use and kept with
-    the program, so every analysis of one program shares one copy; the
-    instruction ids in it stay valid as long as the program lives."""
+    """A parsed program.  ``facts`` is read off the procedures when the
+    program is built, so every analysis of one program shares one copy;
+    the instruction ids in it stay valid as long as the program lives."""
 
-    # __dict__ holds the cached facts (cached_property writes it directly).
-    __slots__ = ("procedures", "main", "level", "_by_name", "__dict__")
+    __slots__ = ("procedures", "main", "level", "_by_name", "facts")
     _compared = ("procedures", "main", "level")
 
     def __init__(self, procedures: Tuple[Procedure, ...], main: str = "Main",
@@ -233,6 +234,18 @@ class Program(Record):
         object.__setattr__(self, "main", main)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "_by_name", {p.name: p for p in procedures})
+        expressions: Set[Path] = {CURRENT}
+        call_free: Set[int] = set()
+        costs: Dict[str, int] = {}
+        for proc in procedures:
+            expressions.update(var(f) for f in proc.formals)
+            costs[proc.name] = 1 + _scan(proc.body, expressions, call_free)[1]
+        object.__setattr__(self, "facts", ProgramFacts(
+            expressions=frozenset(expressions),
+            max_dots=max(dot_count(e) for e in expressions),
+            call_free=frozenset(call_free),
+            costs=costs,
+        ))
 
     def procedure(self, name: str) -> Procedure:
         try:
@@ -240,18 +253,65 @@ class Program(Record):
         except KeyError:
             raise SourceError(f"undefined procedure {name!r}") from None
 
-    @cached_property
-    def facts(self) -> ProgramFacts:
-        expressions = _census(self)
-        call_free: Set[int] = set()
-        for proc in self.procedures:
-            _mark_call_free(proc.body, call_free)
-        return ProgramFacts(
-            expressions=expressions,
-            max_dots=max(dot_count(e) for e in expressions),
-            call_free=frozenset(call_free),
-            costs={proc.name: 1 + _nesting(proc.body) for proc in self.procedures},
-        )
+
+def _scan(body: Sequence[Instruction], expressions: Set[Path],
+          call_free: Set[int]) -> Tuple[bool, int]:
+    """Add body's paths to expressions and the ids of its compound
+    instructions that contain no call, at any depth, to call_free; return
+    whether body contains no call and its deepest block nesting."""
+    free, deepest = True, 0
+    for ins in body:
+        if isinstance(ins, Assign):
+            expressions.add(ins.target)
+            expressions.add(ins.source)
+        elif isinstance(ins, (Create, Forget)):
+            expressions.add(var(ins.name))
+        elif isinstance(ins, Cut):
+            expressions.add(ins.left)
+            expressions.add(ins.right)
+        elif isinstance(ins, Call):
+            free = False
+            if ins.qualifier:
+                expressions.add(ins.qualifier)
+            expressions.update(ins.args)
+        elif isinstance(ins, (Cond, Loop, Repeat)):
+            blocks = (ins.then_branch, ins.else_branch) if isinstance(ins, Cond) else (ins.body,)
+            inner_free = True
+            for block in blocks:
+                block_free, depth = _scan(block, expressions, call_free)
+                inner_free = inner_free and block_free
+                deepest = max(deepest, 1 + depth)
+            if inner_free:
+                call_free.add(id(ins))
+            else:
+                free = False
+    return free, deepest
+
+
+State = TypeVar("State")
+
+
+def iterate(step: Callable[[State], State], state: State, count: int,
+            key: Callable[[State], object]) -> State:
+    """``state`` after ``count`` applications of ``step``: ``iterate
+    count`` of a body whose one pass is ``step``.  The key of a step's
+    result must depend only on the key of its input, so once a key recurs
+    the keys cycle.  Each step's key is compared with one saved key,
+    re-saved at every power-of-two step (Brent's cycle detection), so
+    memory stays constant; on a match at step n the period is n minus the
+    saved step, and only the remaining steps modulo it run.  What the key
+    leaves out is that of the shorter run that reaches the same keys."""
+    saved, saved_at = key(state), 0
+    for n in range(1, count + 1):
+        state = step(state)
+        current = key(state)
+        if current == saved:
+            for _ in range((count - n) % (n - saved_at)):
+                state = step(state)
+            return state
+        if n & (n - 1) == 0:
+            saved, saved_at = current, n
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -600,73 +660,6 @@ def validate(prog: Program) -> None:
                     f"it declares {len(callee.formals)}",
                     *ins.pos,
                 )
-
-
-# ---------------------------------------------------------------------------
-# Program facts
-# ---------------------------------------------------------------------------
-
-def expressions_of(prog: Program) -> FrozenSet[Path]:
-    """Every path written in the program (plus Current), the universe used
-    for assertions and for the default dot budget."""
-    return prog.facts.expressions
-
-
-def max_dot_count(prog: Program) -> int:
-    return prog.facts.max_dots
-
-
-def _census(prog: Program) -> FrozenSet[Path]:
-    out: Set[Path] = {CURRENT}
-    for proc in prog.procedures:
-        for f in proc.formals:
-            out.add(var(f))
-    for ins in instructions_of(prog):
-        if isinstance(ins, Assign):
-            out.add(ins.target)
-            out.add(ins.source)
-        elif isinstance(ins, (Create, Forget)):
-            out.add(var(ins.name))
-        elif isinstance(ins, Cut):
-            out.add(ins.left)
-            out.add(ins.right)
-        elif isinstance(ins, Call):
-            if ins.qualifier:
-                out.add(ins.qualifier)
-            out.update(ins.args)
-    return frozenset(out)
-
-
-def _mark_call_free(body: Sequence[Instruction], call_free: Set[int]) -> bool:
-    """Add to call_free the ids of body's compound instructions that
-    contain no call, at any depth; return whether body contains none."""
-    free = True
-    for ins in body:
-        if isinstance(ins, Call):
-            free = False
-            continue
-        if isinstance(ins, Cond):
-            inner = [_mark_call_free(b, call_free) for b in (ins.then_branch, ins.else_branch)]
-        elif isinstance(ins, (Loop, Repeat)):
-            inner = [_mark_call_free(ins.body, call_free)]
-        else:
-            continue
-        if all(inner):
-            call_free.add(id(ins))
-        else:
-            free = False
-    return free
-
-
-def _nesting(body: Sequence[Instruction]) -> int:
-    """The deepest nesting of then/loop/iterate blocks in body."""
-    deepest = 0
-    for ins in body:
-        if isinstance(ins, Cond):
-            deepest = max(deepest, 1 + _nesting(ins.then_branch), 1 + _nesting(ins.else_branch))
-        elif isinstance(ins, (Loop, Repeat)):
-            deepest = max(deepest, 1 + _nesting(ins.body))
-    return deepest
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ dot budget are dropped — also safe, since dropping only shrinks the set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Sequence, Set
 
-from .engine import AnalysisConfig, resolve_max_dots
 from .lang import (
     Assign,
     Call,
@@ -38,31 +37,20 @@ from .lang import (
     Skip,
 )
 from .paths import Path, concat, dot_count, var
-from .relations import EMPTY
 
 ModSet = FrozenSet[Path]
 
 EMPTY_MODSET: ModSet = frozenset()
 
 
-def _body_modset(
-    body: Sequence[Instruction],
-    env: Dict[str, ModSet],
-    program: Program,
-    bound: int,
-) -> ModSet:
+def _body_modset(body: Sequence[Instruction], env: Dict[str, ModSet], bound: int) -> ModSet:
     out: Set[Path] = set()
     for ins in body:
-        out |= _ins_modset(ins, env, program, bound)
+        out |= _ins_modset(ins, env, bound)
     return frozenset(out)
 
 
-def _ins_modset(
-    ins: Instruction,
-    env: Dict[str, ModSet],
-    program: Program,
-    bound: int,
-) -> ModSet:
+def _ins_modset(ins: Instruction, env: Dict[str, ModSet], bound: int) -> ModSet:
     if isinstance(ins, Skip):
         return EMPTY_MODSET
     if isinstance(ins, (Create, Forget)):
@@ -74,15 +62,15 @@ def _ins_modset(
     if isinstance(ins, Assign):
         return frozenset({ins.target})
     if isinstance(ins, Cond):
-        return _body_modset(ins.then_branch, env, program, bound) & _body_modset(
-            ins.else_branch, env, program, bound
+        return _body_modset(ins.then_branch, env, bound) & _body_modset(
+            ins.else_branch, env, bound
         )
     if isinstance(ins, Loop):
         return EMPTY_MODSET
     if isinstance(ins, Repeat):
         if ins.count == 0:
             return EMPTY_MODSET
-        return _body_modset(ins.body, env, program, bound)
+        return _body_modset(ins.body, env, bound)
     if isinstance(ins, Call):
         callee = env.get(ins.proc, EMPTY_MODSET)
         if not ins.qualifier:
@@ -95,18 +83,15 @@ def _ins_modset(
     raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
 
 
-def modified_vars(program: Program, max_dots: Optional[int] = None) -> Dict[str, ModSet]:
+def modified_vars(program: Program, max_dots: int) -> Dict[str, ModSet]:
     """Per-procedure guaranteed-set sets, as a least fixpoint over calls.
-    Re-rooted entries with more than max_dots dots are dropped; the
-    default is the analysis's budget for the program with an empty
-    initial relation."""
-    if max_dots is None:
-        max_dots = resolve_max_dots(program, AnalysisConfig(), EMPTY)
+    Re-rooted entries with more than max_dots dots are dropped (the
+    analysis's budget, ``engine.resolve_max_dots``)."""
     env: Dict[str, ModSet] = {p.name: EMPTY_MODSET for p in program.procedures}
     while True:
         changed = False
         for proc in program.procedures:
-            new = _body_modset(proc.body, env, program, max_dots)
+            new = _body_modset(proc.body, env, max_dots)
             if new != env[proc.name]:
                 env[proc.name] = new
                 changed = True

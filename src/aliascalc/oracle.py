@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import relations as rel
-from .engine import Analysis, AnalysisConfig
+from .engine import Analysis
 from .lang import (
     Assign,
     Call,
@@ -40,8 +40,9 @@ from .lang import (
     Record,
     Repeat,
     Skip,
-    expressions_of,
     instructions_of,
+    iterate,
+    one_line,
 )
 from .modvars import modified_vars
 from .paths import render, var
@@ -122,7 +123,7 @@ def aliases_of(state: ConcreteState) -> Relation:
 
 
 def program_variables(program: Program) -> FrozenSet[str]:
-    return frozenset(e[0] for e in expressions_of(program) if len(e) == 1)
+    return frozenset(e[0] for e in program.facts.expressions if len(e) == 1)
 
 
 def ensure_base_tier(program: Program) -> None:
@@ -209,7 +210,7 @@ class Interpreter:
             x, y = ins.left[0], ins.right[0]
             violations = ex.cut_violations
             if x in values and y in values and values[x] == values[y]:
-                desc = f"{x} ~ {y} at 'cut {render(ins.left)}, {render(ins.right)}'"
+                desc = f"{x} ~ {y} at '{one_line(ins)}'"
                 violations = violations | {desc}
             return Execution(
                 ex.state,
@@ -222,25 +223,11 @@ class Interpreter:
     def run_repeat(self, execs: ExecSet, ins: Repeat) -> ExecSet:
         """``ins.count`` passes of the body.  Which executions a pass yields,
         and in what order, depends only on the keys of its input in order
-        (trails are carried along, never read), so once the keys recur the
-        passes cycle.  Each pass's keys are compared with one saved pass,
-        re-saved at every power-of-two pass (Brent's cycle detection), so
-        memory stays constant; on a match at pass n the period is n minus
-        the saved pass, and only the remaining passes modulo it run.  The
-        result has the executions of all count passes; its witness trails
-        are those of the shorter run that reaches them."""
-        out = execs
-        saved, saved_at = list(execs), 0
-        for n in range(1, ins.count + 1):
-            out = self.run_body(out, ins.body)
-            keys = list(out)
-            if keys == saved:
-                for _ in range((ins.count - n) % (n - saved_at)):
-                    out = self.run_body(out, ins.body)
-                return out
-            if n & (n - 1) == 0:
-                saved, saved_at = keys, n
-        return out
+        (trails are carried along, never read), so the execution keys in
+        order are the cycle key.  The result has the executions of all
+        count passes; its witness trails are those of the shorter run that
+        reaches them."""
+        return iterate(lambda e: self.run_body(e, ins.body), execs, ins.count, key=list)
 
     def run_loop(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
         """Exits after 0..unroll iterations; a probe iteration decides
@@ -340,12 +327,8 @@ def _trail_text(ex: Execution) -> str:
     return ",".join(ex.trail) if ex.trail else "straight-line"
 
 
-def check_soundness(
-    program: Program,
-    bounds: ExecBounds = ExecBounds(),
-    config: AnalysisConfig = AnalysisConfig(),
-) -> SoundnessReport:
-    """Compare enumerated concrete aliasing against the analysis result.
+def check_soundness(program: Program, bounds: ExecBounds = ExecBounds()) -> SoundnessReport:
+    """Compare enumerated concrete aliasing against the may analysis's result.
 
     Reports three kinds of problem lines: concrete alias pairs the analysis
     missed (real soundness violations), cut assumptions that some execution
@@ -353,7 +336,7 @@ def check_soundness(
     assigned.
     """
     run = run_program(program, bounds)
-    analysis = Analysis(program, config)
+    analysis = Analysis(program)
     computed = analysis.run().relation
     report = SoundnessReport(
         paths=len(run.executions), bounded=run.bounded, computed=computed

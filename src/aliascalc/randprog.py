@@ -24,6 +24,7 @@ from .lang import (
     Program,
     Repeat,
     Skip,
+    _walk,
 )
 from .paths import var
 
@@ -126,12 +127,5 @@ def _instruction(
 
 
 def len_of(body: List[Instruction]) -> int:
-    total = 0
-    for ins in body:
-        if isinstance(ins, Cond):
-            total += len_of(list(ins.then_branch)) + len_of(list(ins.else_branch)) + 1
-        elif isinstance(ins, (Loop, Repeat)):
-            total += len_of(list(ins.body)) + 1
-        else:
-            total += 1
-    return total
+    """The instructions in body, compound ones and their contents alike."""
+    return sum(1 for _ in _walk(body))

@@ -18,7 +18,6 @@ from aliascalc.engine import (
     TracePoint,
     analyze,
     resolve_max_dots,
-    transfer_instructions,
 )
 from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, _walk, parse, pretty
 from aliascalc.paths import concat, has_negation, negation, parse_path, var
@@ -137,7 +136,8 @@ def test_iterate_agrees_with_naive_passes(body, init, period):
     prog = parse(body, level="e0")
     naive = [lit(init)]
     for _ in range(12):
-        naive.append(transfer_instructions(prog, prog.procedure("Main").body, naive[-1]))
+        analysis = Analysis(prog, AnalysisConfig(), naive[-1])
+        naive.append(analysis.transfer_body(naive[-1], prog.procedure("Main").body))
     # The body's effect cycles with the stated period from the first pass on.
     assert len(set(naive[1:1 + period])) == period
     assert naive[1 + period] == naive[1]
@@ -888,10 +888,10 @@ def test_bound_truncates_growth():
     assert got == "{}"
 
 
-def test_transfer_instructions_helper():
+def test_transfer_body_of_a_bare_body():
     prog = parse("x := y", level="e0")
     body = prog.procedure("Main").body
-    out = transfer_instructions(prog, body, lit("{y,z}"))
+    out = Analysis(prog, AnalysisConfig(), lit("{y,z}")).transfer_body(lit("{y,z}"), body)
     assert render_relation(out) == "{x, y, z}"
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import pytest
@@ -19,9 +20,8 @@ from aliascalc.lang import (
     Skip,
     SourceError,
     _TOKEN_RE,
-    expressions_of,
     instructions_of,
-    max_dot_count,
+    iterate,
     parse,
     pretty,
     tokenize,
@@ -231,6 +231,8 @@ def test_program_facts_are_computed_once():
     prog = parse("x := y.a")
     assert prog.facts is prog.facts
     assert prog.facts.max_dots == 1
+    with pytest.raises(AttributeError):
+        prog.facts = None
 
 
 # -- errors ----------------------------------------------------------------------
@@ -353,7 +355,7 @@ def test_statements_cannot_mix_with_procedures():
 
 def test_expressions_of():
     prog = parse("z := x.a ; cut b, c ; create d ; forget e", level="e2")
-    exprs = expressions_of(prog)
+    exprs = prog.facts.expressions
     for text in ("z", "x.a", "b", "c", "d", "e", "Current"):
         assert parse_path(text) in exprs
 
@@ -363,14 +365,97 @@ def test_expressions_of_includes_formals_and_call_parts():
         "procedure Main\n call x.q (u)\nend\nprocedure q (f)\n skip\nend",
         level="e2",
     )
-    exprs = expressions_of(prog)
+    exprs = prog.facts.expressions
     for text in ("x", "u", "f"):
         assert parse_path(text) in exprs
 
 
 def test_max_dot_count():
-    assert max_dot_count(parse("x := y", level="e2")) == 0
-    assert max_dot_count(parse("x := y.a.b", level="e2")) == 2
+    assert parse("x := y", level="e2").facts.max_dots == 0
+    assert parse("x := y.a.b", level="e2").facts.max_dots == 2
+
+
+def test_call_free_blocks_and_nesting_costs():
+    prog = parse(
+        "procedure Main\n"
+        " then loop call q end else iterate 2 x := y end end\n"
+        " loop skip end\n"
+        "end\n"
+        "procedure q\n skip\nend",
+        level="e1",
+    )
+    cond, outer_loop = prog.procedure("Main").body
+    (call_loop,) = cond.then_branch
+    (repeat,) = cond.else_branch
+    assert isinstance(call_loop.body[0], Call)
+    # The call two blocks deep makes both blocks around it not call-free.
+    assert prog.facts.call_free == {id(repeat), id(outer_loop)}
+    assert prog.facts.costs == {"Main": 3, "q": 1}
+
+
+# -- iterate --------------------------------------------------------------------------
+
+def chain(tail, period):
+    """Successors over range(tail + period): 0 -> 1 -> ... along a tail
+    into a cycle of the given period."""
+    size = tail + period
+    return [i + 1 for i in range(size - 1)] + [tail]
+
+
+def naive_iterate(succ, start, count):
+    for _ in range(count):
+        start = succ[start]
+    return start
+
+
+@pytest.mark.parametrize("tail", range(11))
+@pytest.mark.parametrize("period", range(1, 11))
+def test_iterate_agrees_with_naive_application_on_a_chain(tail, period):
+    succ = chain(tail, period)
+    k = len(succ)
+    for count in range(3 * k + 1):
+        assert iterate(succ.__getitem__, 0, count, key=lambda s: s) == naive_iterate(succ, 0, count)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_iterate_agrees_with_naive_application_on_random_graphs(seed):
+    # A random function on range(k): every start runs into a cycle.
+    rng = random.Random(seed)
+    k = rng.randint(1, 20)
+    succ = [rng.randrange(k) for _ in range(k)]
+    for start in range(k):
+        for count in range(3 * k + 1):
+            got = iterate(succ.__getitem__, start, count, key=lambda s: s)
+            assert got == naive_iterate(succ, start, count)
+
+
+@pytest.mark.parametrize("tail, period", [(0, 1), (0, 2), (3, 7), (10, 10), (9, 1)])
+def test_iterate_reads_a_long_count_off_the_cycle(tail, period):
+    succ = chain(tail, period)
+    steps = []
+
+    def step(s):
+        steps.append(s)
+        return succ[s]
+
+    count = 10**20 + 7
+    assert iterate(step, 0, count, key=lambda s: s) == tail + (count - tail) % period
+    assert len(steps) < 40
+
+
+def test_iterate_compares_only_keys():
+    # The state carries how many steps it took; the key leaves that out,
+    # so the cycle is found on the node alone and the count is the shorter
+    # run's that reaches the same node.
+    succ = chain(2, 3)
+
+    def step(state):
+        node, taken = state
+        return succ[node], taken + 1
+
+    node, taken = iterate(step, (0, 0), 1000, key=lambda s: s[0])
+    assert node == naive_iterate(succ, 0, 1000)
+    assert taken < 1000 and (1000 - taken) % 3 == 0
 
 
 # -- pretty -----------------------------------------------------------------------

@@ -1,13 +1,20 @@
 from conftest import read_program
 
+from aliascalc.engine import AnalysisConfig, resolve_max_dots
 from aliascalc.lang import parse
 from aliascalc.modvars import modified_vars
 from aliascalc.paths import render
+from aliascalc.relations import EMPTY
+
+
+def sets_of(prog):
+    """The guaranteed sets under the analysis's budget for prog from empty."""
+    return modified_vars(prog, resolve_max_dots(prog, AnalysisConfig(), EMPTY))
 
 
 def mains(text, level="e2"):
     prog = parse(text, level=level)
-    return {render(p) for p in modified_vars(prog)[prog.main]}
+    return {render(p) for p in sets_of(prog)[prog.main]}
 
 
 def test_atoms():
@@ -65,7 +72,7 @@ def test_recursive_procedure_reaches_a_fixpoint():
 
 def test_mutual_recursion_fixpoint():
     prog = parse(read_program("mutual_recursion_large.e1"), level="e1")
-    sets = modified_vars(prog)
+    sets = sets_of(prog)
     as_text = {
         name: {render(p) for p in s} for name, s in sets.items()
     }
@@ -83,7 +90,7 @@ def test_qualified_recursion_stays_bounded():
         "procedure q\n a := b ; then skip else call u.q end\nend"
     )
     prog = parse(text, level="e2")
-    sets = modified_vars(prog)
+    sets = sets_of(prog)
     texts = {render(p) for p in sets["q"]}
     assert "a" in texts
     assert all(p.count(".") <= 3 for p in texts)
@@ -91,5 +98,5 @@ def test_qualified_recursion_stays_bounded():
 
 def test_cut_ignores_dotted_operands():
     prog = parse("cut x.a, y", level="e2")
-    got = {render(p) for p in modified_vars(prog)["Main"]}
+    got = {render(p) for p in sets_of(prog)["Main"]}
     assert got == {"y"}

@@ -1,7 +1,6 @@
 import pytest
 from conftest import read_program
 
-from aliascalc.engine import AnalysisConfig
 from aliascalc.lang import parse
 from aliascalc.oracle import (
     ConcreteState,
@@ -248,11 +247,3 @@ def test_soundness_over_mixed_flow_fixture():
     assert rep.modvar_violations == []
     assert len(rep.cut_violations) == 2
 
-
-def test_containment_is_checked_against_config():
-    # With a must-mode (under-approximating) analysis the same program is
-    # reported unsound: the oracle sees aliases the result does not admit.
-    prog = parse("then x := y else skip end", level="e0")
-    rep = check_soundness(prog, config=AnalysisConfig(mode="must"))
-    assert rep.containment_violations
-    assert "[x, y]" in rep.containment_violations[0]
