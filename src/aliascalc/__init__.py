@@ -1,44 +1,8 @@
 """Compositional may-alias analysis over a family of toy instruction
-languages, with a concrete reference interpreter for validating results."""
+languages, with a concrete reference interpreter for validating results.
 
-from .engine import AnalysisConfig, AnalysisResult, analyze
-from .lang import Program, SourceError, parse
-from .modvars import modified_vars
-from .oracle import ExecBounds, check_soundness, run_program
-from .relations import (
-    EMPTY,
-    Relation,
-    aliased,
-    canonical,
-    from_cliques,
-    parse_relation_literal,
-    quotient,
-    render_relation,
-    subst,
-    to_assertion,
-)
-
-__all__ = [
-    "AnalysisConfig",
-    "AnalysisResult",
-    "analyze",
-    "Program",
-    "SourceError",
-    "parse",
-    "modified_vars",
-    "ExecBounds",
-    "check_soundness",
-    "run_program",
-    "EMPTY",
-    "Relation",
-    "aliased",
-    "canonical",
-    "from_cliques",
-    "parse_relation_literal",
-    "quotient",
-    "render_relation",
-    "subst",
-    "to_assertion",
-]
+The package imports none of its modules: import the one you need
+(``aliascalc.engine``, ``aliascalc.lang``, ``aliascalc.relations``, ...),
+so a caller loads only the code it runs."""
 
 __version__ = "0.1.0"

@@ -14,9 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import relations as rel
 from .engine import AnalysisConfig, analyze, resolve_max_dots
-from .lang import SourceError, parse
-from .modvars import modified_vars
-from .oracle import ExecBounds, check_soundness
+from .lang import LEVELS, SourceError, parse
 from .paths import Path, render
 from .relations import (
     parse_relation_literal,
@@ -48,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--level",
-        choices=("e0", "e1", "e2"),
+        choices=LEVELS,
         default="e2",
         help="language tier to accept (default: e2)",
     )
@@ -152,7 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{name}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 2
 
+    # The oracle and modvars are imported by the outputs that run them, so
+    # the other outputs do not load them.
     if args.output == "soundness":
+        from .oracle import ExecBounds, check_soundness
+
         report = check_soundness(program, ExecBounds(loop_unroll=args.unroll))
         print(report.render())
         return 3 if report.violation_count else 0
@@ -160,6 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = AnalysisConfig(mode=args.mode, max_dots=args.max_dots)
 
     if args.output == "modvars":
+        from .modvars import modified_vars
+
         sets = modified_vars(program, resolve_max_dots(program, config, init))
         for proc in program.procedures:
             members = ", ".join(sorted(render(p) for p in sets[proc.name]))

@@ -666,8 +666,23 @@ def validate(prog: Program) -> None:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
+def _blocks(ins: Instruction) -> Tuple[Tuple[str, Sequence[Instruction]], ...]:
+    """A compound instruction's keywords in source order, each with the
+    body it opens; ``end`` closes the last.  Empty for a simple one."""
+    if isinstance(ins, Cond):
+        return (("then", ins.then_branch), ("else", ins.else_branch))
+    if isinstance(ins, Loop):
+        return (("loop", ins.body),)
+    if isinstance(ins, Repeat):
+        return ((f"iterate {ins.count}", ins.body),)
+    return ()
+
+
 def one_line(ins: Instruction) -> str:
     """One-line instruction text; compound bodies are elided as ``...``."""
+    blocks = _blocks(ins)
+    if blocks:
+        return " ... ".join(keyword for keyword, _ in blocks) + " ... end"
     if isinstance(ins, Skip):
         return "skip"
     if isinstance(ins, Create):
@@ -678,12 +693,6 @@ def one_line(ins: Instruction) -> str:
         return f"cut {render(ins.left)}, {render(ins.right)}"
     if isinstance(ins, Assign):
         return f"{render(ins.target)} := {render(ins.source)}"
-    if isinstance(ins, Cond):
-        return "then ... else ... end"
-    if isinstance(ins, Loop):
-        return "loop ... end"
-    if isinstance(ins, Repeat):
-        return f"iterate {ins.count} ... end"
     if isinstance(ins, Call):
         target = f"{render(ins.qualifier)}.{ins.proc}" if ins.qualifier else ins.proc
         if ins.args:
@@ -694,26 +703,15 @@ def one_line(ins: Instruction) -> str:
 
 def _fmt_ins(ins: Instruction, indent: int, out: List[str]) -> None:
     pad = "  " * indent
-    if isinstance(ins, Cond):
-        out.append(pad + "then")
-        for sub in ins.then_branch:
-            _fmt_ins(sub, indent + 1, out)
-        out.append(pad + "else")
-        for sub in ins.else_branch:
-            _fmt_ins(sub, indent + 1, out)
-        out.append(pad + "end")
-    elif isinstance(ins, Loop):
-        out.append(pad + "loop")
-        for sub in ins.body:
-            _fmt_ins(sub, indent + 1, out)
-        out.append(pad + "end")
-    elif isinstance(ins, Repeat):
-        out.append(pad + f"iterate {ins.count}")
-        for sub in ins.body:
-            _fmt_ins(sub, indent + 1, out)
-        out.append(pad + "end")
-    else:
+    blocks = _blocks(ins)
+    if not blocks:
         out.append(pad + one_line(ins))
+        return
+    for keyword, body in blocks:
+        out.append(pad + keyword)
+        for sub in body:
+            _fmt_ins(sub, indent + 1, out)
+    out.append(pad + "end")
 
 
 def pretty(prog: Program) -> str:

@@ -28,13 +28,9 @@ CURRENT: Path = ()
 NEG_MARK = "'"
 
 
-def is_negated(segment: str) -> bool:
-    return segment.endswith(NEG_MARK)
-
-
 def negate_segment(segment: str) -> str:
     """Flip one segment between its plain and negated form."""
-    if is_negated(segment):
+    if segment.endswith(NEG_MARK):
         return segment[: -len(NEG_MARK)]
     return segment + NEG_MARK
 
@@ -80,11 +76,6 @@ def dot_count(path: Path) -> int:
     """Number of dots in the rendered form; ``Current`` and plain
     variables count zero."""
     return max(len(path) - 1, 0)
-
-
-def head(path: Path) -> str | None:
-    """First segment name, or None for ``Current``."""
-    return path[0] if path else None
 
 
 def has_negation(path: Path) -> bool:

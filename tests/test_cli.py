@@ -503,3 +503,18 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = loaded_modules("import aliascalc.cli") - loaded_modules("pass")
     assert "aliascalc.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+UNUSED_BY_THE_ANALYSIS = {"aliascalc.oracle", "aliascalc.modvars", "aliascalc.randprog"}
+
+
+@pytest.mark.parametrize("output", [None, "relation", "trace"])
+def test_relation_and_trace_runs_load_neither_oracle_nor_modvars(output):
+    # Only the soundness and modvars outputs import the modules they run,
+    # and the package itself imports none of its modules.
+    statement = "import aliascalc.cli"
+    if output is not None:
+        statement += f"\naliascalc.cli.main(['{PROGRAMS}/linked_lists.e2', '--output', '{output}'])"
+    loaded = loaded_modules(statement)
+    assert "aliascalc.engine" in loaded
+    assert not UNUSED_BY_THE_ANALYSIS & loaded

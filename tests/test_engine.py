@@ -3,7 +3,7 @@ import os
 import random
 import re
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from conftest import read_program
@@ -19,7 +19,9 @@ from aliascalc.engine import (
     analyze,
     resolve_max_dots,
 )
-from aliascalc.lang import Assign, Call, Cond, Loop, Procedure, Program, _walk, parse, pretty
+from aliascalc.lang import (
+    Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, parse, pretty,
+)
 from aliascalc.paths import concat, has_negation, negation, parse_path, var
 from aliascalc.randprog import random_program
 from aliascalc.relations import (
@@ -384,6 +386,62 @@ def test_acyclic_programs_evaluate_each_key_once():
             assert Analysis(program, config).run().rounds == 1
             rerun += QueueOnly(program, config).run().rounds > 1
     assert rerun > 0
+
+
+class Recursive(Exception):
+    pass
+
+
+def inlined(program, body, active):
+    """body with every call replaced by its formal := actual assignments
+    and the callee's body, itself inlined; raises Recursive when a call
+    reaches a procedure in active, the ones being inlined around it."""
+    out = []
+    for ins in body:
+        if isinstance(ins, Call):
+            assert not ins.qualifier
+            if ins.proc in active:
+                raise Recursive
+            callee = program.procedure(ins.proc)
+            out += [Assign((f,), arg) for f, arg in zip(callee.formals, ins.args)]
+            out += inlined(program, callee.body, active | {ins.proc})
+        elif isinstance(ins, Cond):
+            out.append(Cond(inlined(program, ins.then_branch, active),
+                            inlined(program, ins.else_branch, active)))
+        elif isinstance(ins, Loop):
+            out.append(Loop(inlined(program, ins.body, active)))
+        elif isinstance(ins, Repeat):
+            out.append(Repeat(ins.count, inlined(program, ins.body, active)))
+        else:
+            out.append(ins)
+    return tuple(out)
+
+
+def test_calls_agree_with_their_inlined_bodies():
+    # The inlining oracle.  Without recursion, an unqualified call means
+    # its formal := actual assignments (bound left to right, as subst_list
+    # binds them) followed by the callee's body, so a program must analyse
+    # like its Main with every call inlined: a one-procedure program that
+    # needs no summary table.  Only cycles reachable from Main count: at
+    # size 40, 102 of the 600 programs qualify, not the 13 with no cycle at
+    # all.  Their long bodies overwrite most formal bindings before Main
+    # returns, so small programs check the bindings too.
+    init = lit("{a,b},{c,d,e}")
+    compared = Counter()
+    for size in (40, 6):
+        for seed in range(600):
+            program = parse(GEN.interproc_program(random.Random(seed), "e1", size), level="e1")
+            try:
+                body = inlined(program, program.procedure("Main").body, {"Main"})
+            except Recursive:
+                continue
+            flat = Program((Procedure("Main", (), body),), level="e1")
+            for mode in ("may", "must"):
+                config = AnalysisConfig(mode=mode)
+                want = analyze(flat, init, config).relation
+                assert analyze(program, init, config).relation == want, (size, seed, mode)
+                compared[size] += 1
+    assert compared == {40: 204, 6: 1160}
 
 
 @pytest.mark.parametrize("mode", ["may", "must"])

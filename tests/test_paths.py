@@ -8,7 +8,6 @@ from aliascalc.paths import (
     concat,
     dot_count,
     has_negation,
-    head,
     negate_segment,
     negation,
     normalize,
@@ -82,8 +81,7 @@ def test_dot_count():
     assert dot_count(("x", "a", "b")) == 2
 
 
-def test_head_and_has_negation():
-    assert head(("x", "a")) == "x"
+def test_has_negation():
     assert has_negation(("x'", "f"))
     assert not has_negation(("x", "f"))
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aliascalc import relations as rel
-from aliascalc.paths import concat, dot_count, head, parse_path, render, var
+from aliascalc.paths import concat, dot_count, parse_path, render, var
 from aliascalc.relations import (
     EMPTY,
     aliased,
@@ -360,11 +360,11 @@ def ref_quotient(a, y, max_dots):
 
 
 def ref_restrict(a, names):
-    banned = set(names)
+    banned = {(name,) for name in names}
     if not banned:
         return a
     return frozenset(
-        (e, f) for e, f in a if head(e) not in banned and head(f) not in banned
+        (e, f) for e, f in a if e[:1] not in banned and f[:1] not in banned
     )
 
 
@@ -390,7 +390,7 @@ def ref_subst(a, x, y, max_dots):
     members = {
         e
         for e in ref_quotient(a, y, max_dots)
-        if head(e) != x_name and dot_count(e) <= max_dots
+        if e[:1] != x and dot_count(e) <= max_dots
     }
     b = ref_restrict(a, {x_name})
     fresh = {make_pair(x, e) for e in members if e != x}
