@@ -21,14 +21,24 @@ Statements are separated by newlines or semicolons; ``--`` starts a comment.
 A bare statement list is wrapped in an implicit argumentless ``Main``.  The
 conditional has no condition: either branch may execute, which is all the
 analysis can use anyway.
+
+The front end is one scanner and one parser.  ``tokenize`` finds every
+token in one regex ``findall``, each match carrying the blanks and the
+comment before its token, and works out the tokens' character offsets
+from the match lengths.  ``Parser`` reads the token texts by index and
+dispatches each statement on its first word through one keyword table.
+Line and column are worked out only where they are kept or reported:
+for procedures, calls and errors.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import accumulate, chain, compress
 from operator import attrgetter
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar,
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple, TypeVar,
     Union,
 )
 
@@ -218,6 +228,7 @@ class ProgramFacts(NamedTuple):
     max_dots: int  # the most dots in one of them
     call_free: FrozenSet[int]  # ids of the compound instructions containing no call
     costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
+    calls: Tuple["Call", ...]  # every call, in source order
 
 
 class Program(Record):
@@ -237,14 +248,16 @@ class Program(Record):
         expressions: Set[Path] = {CURRENT}
         call_free: Set[int] = set()
         costs: Dict[str, int] = {}
+        calls: List[Call] = []
         for proc in procedures:
             expressions.update(var(f) for f in proc.formals)
-            costs[proc.name] = 1 + _scan(proc.body, expressions, call_free)[1]
+            costs[proc.name] = 1 + _scan(proc.body, expressions, call_free, calls)[1]
         object.__setattr__(self, "facts", ProgramFacts(
             expressions=frozenset(expressions),
             max_dots=max(dot_count(e) for e in expressions),
             call_free=frozenset(call_free),
             costs=costs,
+            calls=tuple(calls),
         ))
 
     def procedure(self, name: str) -> Procedure:
@@ -255,10 +268,11 @@ class Program(Record):
 
 
 def _scan(body: Sequence[Instruction], expressions: Set[Path],
-          call_free: Set[int]) -> Tuple[bool, int]:
-    """Add body's paths to expressions and the ids of its compound
-    instructions that contain no call, at any depth, to call_free; return
-    whether body contains no call and its deepest block nesting."""
+          call_free: Set[int], calls: List[Call]) -> Tuple[bool, int]:
+    """Add body's paths to expressions, the ids of its compound
+    instructions that contain no call, at any depth, to call_free and its
+    calls, in source order, to calls; return whether body contains no call
+    and its deepest block nesting."""
     free, deepest = True, 0
     for ins in body:
         if isinstance(ins, Assign):
@@ -271,6 +285,7 @@ def _scan(body: Sequence[Instruction], expressions: Set[Path],
             expressions.add(ins.right)
         elif isinstance(ins, Call):
             free = False
+            calls.append(ins)
             if ins.qualifier:
                 expressions.add(ins.qualifier)
             expressions.update(ins.args)
@@ -278,7 +293,7 @@ def _scan(body: Sequence[Instruction], expressions: Set[Path],
             blocks = (ins.then_branch, ins.else_branch) if isinstance(ins, Cond) else (ins.body,)
             inner_free = True
             for block in blocks:
-                block_free, depth = _scan(block, expressions, call_free)
+                block_free, depth = _scan(block, expressions, call_free, calls)
                 inner_free = inner_free and block_free
                 deepest = max(deepest, 1 + depth)
             if inner_free:
@@ -315,55 +330,67 @@ def iterate(step: Callable[[State], State], state: State, count: int,
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Scanner
 # ---------------------------------------------------------------------------
 
-# (kind, text, line, col), a plain tuple: the lexer builds one per token.
-# kind is NAME NUMBER ASSIGN DOT COMMA LPAREN RPAREN SEP or EOF.
-Token = Tuple[str, str, int, int]
-
-
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<comment>--[^\n]*)
-    | (?P<ws>[ \t\r]+)
-    | (?P<sep>[\n;])
-    | (?P<assign>:=)
-    | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<number>[0-9]+)
-    | (?P<dot>\.)
-    | (?P<comma>,)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    """,
-    re.VERBOSE,
+# One match per token: group 1 is the blanks and the comment before it,
+# group 2 the token itself.  A comment runs to its line's end, where a
+# newline token or the end of the text always follows, so the match never
+# gives back part of a comment for its tail to lex as tokens.  The end of
+# the text matches as the empty EOF token, so a trailing comment is the
+# EOF's leading text.  No match starts just after a blank (a match takes
+# its blanks whole), so when a character no token matches follows a run
+# of blanks, the search rejects each later start in the run at once
+# instead of re-reading the rest of the run from it, which would take time
+# quadratic in the run's length.
+_SCAN_RE = re.compile(
+    r"(?<![ \t\r])([ \t\r]*(?:--[^\n]*)?)"
+    r"([\n;]|:=|[A-Za-z][A-Za-z0-9_]*|[0-9]+|[.,()]|\Z)"
 )
+_BLANKS_RE = re.compile(r"[ \t\r]*")
 
 
-def tokenize(text: str) -> List[Token]:
-    """The token list, ending in EOF.  ``finditer`` skips what no token
-    matches, so a gap between one match and the next (or before the end
-    of the text) is an unexpected character, reported at its start."""
-    tokens: List[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "sep":
-            tok_text = m.group()
-            tokens.append(("SEP", tok_text, line, start - line_start + 1))
-            if tok_text == "\n":
-                line += 1
-                line_start = pos
-        elif kind != "ws" and kind != "comment":
-            tokens.append((kind.upper(), m.group(), line, start - line_start + 1))
-    if pos != len(text):
-        raise SourceError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(("EOF", "", line, len(text) - line_start + 1))
+class Tokens(list):
+    """The token texts in source order, ending in the EOF token ``""``.
+    ``starts[i]`` is the character offset of token i and ``newlines`` the
+    offsets of the newline tokens.  A token's kind is read off its text:
+    a keyword or a NAME (``str.isidentifier``), a NUMBER
+    (``str.isdigit``), or one of ``:= . , ( ) ; \\n``."""
+
+    __slots__ = ("starts", "newlines")
+
+    def position(self, i: int) -> Tuple[int, int]:
+        """Line and column of token i, both from 1."""
+        offset = self.starts[i]
+        newlines = self.newlines
+        before = bisect_left(newlines, offset)
+        return before + 1, offset - (newlines[before - 1] if before else -1)
+
+
+def tokenize(text: str) -> Tokens:
+    """The tokens of text, from one ``findall``.  The matches tile the
+    text exactly when their lengths add up to its length; otherwise the
+    first character no token covers is reported at its position."""
+    found = _SCAN_RE.findall(text)
+    if len(found) > 1 and not found[-2][1]:
+        # After a trailing comment the search matches the end a second time.
+        del found[-1]
+    pieces = list(chain.from_iterable(found))
+    ends = list(accumulate(map(len, pieces)))
+    if ends[-1] != len(text):
+        offset = 0
+        for m in _SCAN_RE.finditer(text):
+            if m.start() != offset:
+                break
+            offset = m.end()
+        offset = _BLANKS_RE.match(text, offset).end()
+        line = text.count("\n", 0, offset) + 1
+        raise SourceError(f"unexpected character {text[offset]!r}",
+                          line, offset - text.rfind("\n", 0, offset))
+    tokens = Tokens(pieces[1::2])
+    tokens.starts = ends[0::2]
+    # Every newline in the text is a token: blanks and comments hold none.
+    tokens.newlines = list(compress(tokens.starts, map("\n".__eq__, tokens)))
     return tokens
 
 
@@ -371,245 +398,250 @@ def tokenize(text: str) -> List[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-class Parser:
-    """Recursive descent over the token list; one token of lookahead.
-    A token is a ``(kind, text, line, col)`` tuple, read by index."""
+_SEPARATORS = frozenset(("\n", ";"))
+_ELSE = frozenset(("else",))
+_END = frozenset(("end",))
+_NOT_PATH = KEYWORDS - {"Current"}
 
-    def __init__(self, tokens: List[Token], level: str = "e2"):
+
+class Parser:
+    """Recursive descent over the token texts.  Each rule takes the index
+    of its first token and returns what it read with the index after it;
+    positions are looked up only for procedures, calls and errors."""
+
+    def __init__(self, tokens: Tokens, level: str):
         self.tokens = tokens
-        self.pos = 0
+        self.toks: List[str] = tokens[:]  # a plain list indexes fastest
         self.level = level
         self.depth = 0  # then/loop/iterate blocks open at the current token
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> SourceError:
+        return SourceError(message, *self.tokens.position(i))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
+    def expected(self, what: str, i: int) -> SourceError:
+        found = self.toks[i] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", i)
 
-    def error(self, message: str, tok: Optional[Token] = None) -> SourceError:
-        tok = tok or self.peek()
-        return SourceError(message, tok[2], tok[3])
+    def identifier(self, what: str, i: int) -> str:
+        word = self.toks[i]
+        if not word.isidentifier() or word in KEYWORDS:
+            raise self.expected(what, i)
+        return word
 
-    def found(self) -> str:
-        """The current token's text for an error message."""
-        return repr(self.peek()[1] or "end of input")
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.peek()[0] != kind:
-            raise self.error(f"expected {what}, found {self.found()}")
-        return self.next()
-
-    def skip_seps(self) -> None:
-        while self.peek()[0] == "SEP":
-            self.next()
-
-    def at_keyword(self, *words: str) -> bool:
-        kind, text, _, _ = self.peek()
-        return kind == "NAME" and text in words
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.error(f"expected {word!r}, found {self.found()}")
-        return self.next()
-
-    def identifier(self, what: str) -> str:
-        kind, text, _, _ = self.peek()
-        if kind != "NAME" or text in KEYWORDS:
-            raise self.error(f"expected {what}, found {self.found()}")
-        self.next()
-        return text
+    def keyword(self, word: str, i: int) -> int:
+        if self.toks[i] != word:
+            raise self.expected(repr(word), i)
+        return i + 1
 
     # -- paths --------------------------------------------------------------
 
-    def path(self) -> Path:
+    def path(self, i: int) -> Tuple[Path, int]:
         """A dotted path; ``Current`` segments vanish (prefixing by the
         current object is the identity)."""
+        toks = self.toks
         segs: List[str] = []
         while True:
-            kind, text, _, _ = self.peek()
-            if kind != "NAME" or (text in KEYWORDS and text != "Current"):
-                raise self.error(f"expected a variable or Current, found {self.found()}")
-            self.next()
-            if text != "Current":
-                segs.append(text)
-            if self.peek()[0] == "DOT":
-                self.next()
-                continue
-            return tuple(segs)
+            word = toks[i]
+            if not word.isidentifier() or word in _NOT_PATH:
+                raise self.expected("a variable or Current", i)
+            if word != "Current":
+                segs.append(word)
+            if toks[i + 1] != ".":
+                return tuple(segs), i + 1
+            i += 2
 
-    def fenced_path(self, what: str) -> Path:
+    def fenced_path(self, what: str, i: int) -> Tuple[Path, int]:
         """A path in a position where tiers below e2 allow only a plain
         variable (no dots, not Current)."""
-        tok = self.peek()
-        p = self.path()
-        if self.level != "e2" and len(p) != 1:
+        word = self.toks[i]
+        if word.isidentifier() and word not in KEYWORDS and self.toks[i + 1] != ".":
+            return (word,), i + 1
+        p, end = self.path(i)
+        if len(p) != 1 and self.level != "e2":
             if p:
-                raise self.error(f"dotted {what} {render(p)!r} requires level e2", tok)
-            raise self.error(f"Current as {what} requires level e2", tok)
-        return p
+                raise self.error(f"dotted {what} {render(p)!r} requires level e2", i)
+            raise self.error(f"Current as {what} requires level e2", i)
+        return p, end
 
     # -- statements ----------------------------------------------------------
 
-    def statements(self, stop_words: Set[str]) -> Tuple[Instruction, ...]:
+    def statements(self, stop: FrozenSet[str], i: int) -> Tuple[Tuple[Instruction, ...], int]:
+        """Statements up to a stop word or the end of the text, neither of
+        them consumed."""
+        toks = self.toks
+        separators, rules = _SEPARATORS, _STATEMENTS
         out: List[Instruction] = []
         while True:
-            self.skip_seps()
-            kind, text, _, _ = self.peek()
-            if kind == "EOF" or (kind == "NAME" and text in stop_words):
-                return tuple(out)
-            out.append(self.statement())
-            kind, text, _, _ = self.peek()
-            if kind not in ("SEP", "EOF") and not (kind == "NAME" and text in stop_words):
-                raise self.error(f"expected end of statement, found {text!r}")
+            word = toks[i]
+            if word in separators:
+                i += 1
+                continue
+            if not word or word in stop:
+                return tuple(out), i
+            rule = rules.get(word)
+            if rule is not None:
+                ins, i = rule(self, i)
+            elif not word.isidentifier():
+                raise self.expected("a statement", i)
+            elif toks[i + 1] == ":=":
+                # The commonest statement: assignment to a plain variable.
+                source, i = self.fenced_path("assignment source", i + 2)
+                ins = Assign((word,), source)
+            else:
+                ins, i = self.assignment(i)
+            out.append(ins)
+            word = toks[i]
+            if word and word not in separators and word not in stop:
+                raise self.error(f"expected end of statement, found {word!r}", i)
 
-    def statement(self) -> Instruction:
-        tok = self.peek()
-        kind, word, _, _ = tok
-        if kind != "NAME":
-            raise self.error(f"expected a statement, found {self.found()}")
-        if word == "skip":
-            self.next()
-            return Skip()
-        if word == "create":
-            self.next()
-            return Create(self.identifier("a variable after 'create'"))
-        if word == "forget":
-            self.next()
-            return Forget(self.identifier("a variable after 'forget'"))
-        if word == "cut":
-            self.next()
-            left = self.fenced_path("cut operand")
-            self.expect("COMMA", "',' between the two cut operands")
-            right = self.fenced_path("cut operand")
-            return Cut(left, right)
-        if word in ("then", "loop", "iterate"):
-            if self.depth == MAX_NESTING:
-                raise self.error(f"blocks nested more than {MAX_NESTING} deep", tok)
-            self.depth += 1
-            ins = self.block(word)
-            self.depth -= 1
-            return ins
-        if word == "call":
-            if self.level == "e0":
-                raise self.error("'call' requires level e1 or higher", tok)
-            self.next()
-            target = self.path()
-            if not target:
-                raise self.error("call target must name a procedure", tok)
-            if len(target) > 1 and self.level != "e2":
-                raise self.error(
-                    f"qualified call 'call {render(target)}' requires level e2",
-                    tok,
-                )
-            args: Tuple[Path, ...] = ()
-            if self.peek()[0] == "LPAREN":
-                self.next()
-                arg_list: List[Path] = [self.fenced_path("call argument")]
-                while self.peek()[0] == "COMMA":
-                    self.next()
-                    arg_list.append(self.fenced_path("call argument"))
-                self.expect("RPAREN", "')' after call arguments")
-                args = tuple(arg_list)
-            return Call(target[:-1], target[-1], args, pos=(tok[2], tok[3]))
-        if word in KEYWORDS:
-            raise self.error(f"unexpected keyword {word!r}")
-        # Only assignment starts with a bare path.
-        target = self.path()
-        assign_tok = self.peek()
-        if assign_tok[0] != "ASSIGN":
-            raise self.error(
-                f"expected ':=' after {render(target)!r}", assign_tok
-            )
-        if not target:
-            raise self.error("cannot assign to Current", tok)
+    def skip(self, i: int) -> Tuple[Instruction, int]:
+        return Skip(), i + 1
+
+    def create(self, i: int) -> Tuple[Instruction, int]:
+        return Create(self.identifier("a variable after 'create'", i + 1)), i + 2
+
+    def forget(self, i: int) -> Tuple[Instruction, int]:
+        return Forget(self.identifier("a variable after 'forget'", i + 1)), i + 2
+
+    def cut(self, i: int) -> Tuple[Instruction, int]:
+        left, i = self.fenced_path("cut operand", i + 1)
+        if self.toks[i] != ",":
+            raise self.expected("',' between the two cut operands", i)
+        right, i = self.fenced_path("cut operand", i + 1)
+        return Cut(left, right), i
+
+    def assignment(self, i: int) -> Tuple[Instruction, int]:
+        """The statement a bare path starts."""
+        target, j = self.path(i)
+        if self.toks[j] != ":=":
+            raise self.error(f"expected ':=' after {render(target)!r}", j)
         if len(target) > 1:
             raise self.error(
                 f"qualified assignment '{render(target)} := ...' is not an "
                 f"instruction; translate it to a setter call, e.g. "
                 f"'call {render(target[:-1])}.set_{target[-1]} (...)'",
-                tok,
+                i,
             )
-        self.next()
-        source = self.fenced_path("assignment source")
-        return Assign(target, source)
+        source, j = self.fenced_path("assignment source", j + 1)
+        return Assign(target, source), j
 
-    def block(self, word: str) -> Instruction:
+    def call(self, i: int) -> Tuple[Instruction, int]:
+        level = self.level
+        if level == "e0":
+            raise self.error("'call' requires level e1 or higher", i)
+        target, j = self.path(i + 1)
+        if not target:
+            raise self.error("call target must name a procedure", i)
+        if len(target) > 1 and level != "e2":
+            raise self.error(f"qualified call 'call {render(target)}' requires level e2", i)
+        args: Tuple[Path, ...] = ()
+        toks = self.toks
+        if toks[j] == "(":
+            arg, j = self.fenced_path("call argument", j + 1)
+            arg_list = [arg]
+            while toks[j] == ",":
+                arg, j = self.fenced_path("call argument", j + 1)
+                arg_list.append(arg)
+            if toks[j] != ")":
+                raise self.expected("')' after call arguments", j)
+            j += 1
+            args = tuple(arg_list)
+        return Call(target[:-1], target[-1], args, pos=self.tokens.position(i)), j
+
+    def block(self, i: int) -> Tuple[Instruction, int]:
         """A then, loop or iterate block, from its keyword to its 'end'."""
-        self.next()
+        if self.depth == MAX_NESTING:
+            raise self.error(f"blocks nested more than {MAX_NESTING} deep", i)
+        self.depth += 1
+        word = self.toks[i]
         if word == "then":
-            then_branch = self.statements({"else"})
-            self.expect_keyword("else")
-            else_branch = self.statements({"end"})
-            self.expect_keyword("end")
-            return Cond(then_branch, else_branch)
-        if word == "loop":
-            body = self.statements({"end"})
-            self.expect_keyword("end")
-            return Loop(body)
-        count_tok = self.expect("NUMBER", "an iteration count after 'iterate'")
-        try:
-            count = int(count_tok[1])
-        except ValueError:  # more digits than the interpreter converts
-            raise self.error(
-                f"iteration count of {len(count_tok[1])} digits is too long", count_tok
-            ) from None
-        body = self.statements({"end"})
-        self.expect_keyword("end")
-        return Repeat(count, body)
+            then_branch, i = self.statements(_ELSE, i + 1)
+            else_branch, i = self.statements(_END, self.keyword("else", i))
+            ins: Instruction = Cond(then_branch, else_branch)
+        elif word == "loop":
+            body, i = self.statements(_END, i + 1)
+            ins = Loop(body)
+        else:
+            digits = self.toks[i + 1]
+            if not digits.isdigit():
+                raise self.expected("an iteration count after 'iterate'", i + 1)
+            try:
+                count = int(digits)
+            except ValueError:  # more digits than the interpreter converts
+                raise self.error(
+                    f"iteration count of {len(digits)} digits is too long", i + 1
+                ) from None
+            body, i = self.statements(_END, i + 2)
+            ins = Repeat(count, body)
+        self.depth -= 1
+        return ins, self.keyword("end", i)
+
+    def misplaced(self, i: int) -> Tuple[Instruction, int]:
+        raise self.error(f"unexpected keyword {self.toks[i]!r}", i)
 
     # -- procedures ----------------------------------------------------------
 
-    def procedure(self) -> Procedure:
-        keyword = self.expect_keyword("procedure")
-        name_tok = self.peek()
-        name = self.identifier("a procedure name")
+    def procedure(self, i: int) -> Tuple[Procedure, int]:
+        """A declaration, from its 'procedure' keyword to its 'end'."""
+        toks = self.toks
+        name = self.identifier("a procedure name", i + 1)
         formals: List[str] = []
-        if self.peek()[0] == "LPAREN":
-            self.next()
-            formals.append(self.identifier("a formal argument name"))
-            while self.peek()[0] == "COMMA":
-                self.next()
-                formals.append(self.identifier("a formal argument name"))
-            self.expect("RPAREN", "')' after formal arguments")
+        j = i + 2
+        if toks[j] == "(":
+            formals.append(self.identifier("a formal argument name", j + 1))
+            j += 2
+            while toks[j] == ",":
+                formals.append(self.identifier("a formal argument name", j + 1))
+                j += 2
+            if toks[j] != ")":
+                raise self.expected("')' after formal arguments", j)
+            j += 1
         if len(set(formals)) != len(formals):
-            raise self.error(f"duplicate formal argument in {name!r}", name_tok)
-        body = self.statements({"end"})
-        self.expect_keyword("end")
-        return Procedure(name, tuple(formals), body, pos=(keyword[2], keyword[3]))
+            raise self.error(f"duplicate formal argument in {name!r}", i + 1)
+        body, j = self.statements(_END, j)
+        proc = Procedure(name, tuple(formals), body, pos=self.tokens.position(i))
+        return proc, self.keyword("end", j)
 
-    def program(self, level: str) -> Program:
-        self.level = level
-        self.skip_seps()
-        if self.at_keyword("procedure"):
+    def program(self) -> Program:
+        toks = self.toks
+        level = self.level
+        i = 0
+        while toks[i] in _SEPARATORS:
+            i += 1
+        if toks[i] == "procedure":
             if level == "e0":
-                raise self.error("procedure declarations require level e1 or higher")
+                raise self.error("procedure declarations require level e1 or higher", i)
             procs: List[Procedure] = []
-            while True:
-                self.skip_seps()
-                if self.peek()[0] == "EOF":
-                    break
-                if not self.at_keyword("procedure"):
-                    raise self.error(
-                        "top-level statements cannot be mixed with procedures"
-                    )
-                procs.append(self.procedure())
+            while toks[i]:
+                if toks[i] in _SEPARATORS:
+                    i += 1
+                    continue
+                if toks[i] != "procedure":
+                    raise self.error("top-level statements cannot be mixed with procedures", i)
+                proc, i = self.procedure(i)
+                procs.append(proc)
             prog = Program(tuple(procs), main="Main", level=level)
         else:
-            body = self.statements(set())
+            body, _ = self.statements(frozenset(), i)
             prog = Program((Procedure("Main", (), body),), main="Main", level=level)
         validate(prog)
         return prog
+
+
+# The statement each keyword starts; any other name starts an assignment.
+_STATEMENTS: Dict[str, Callable[[Parser, int], Tuple[Instruction, int]]] = {
+    "skip": Parser.skip, "create": Parser.create, "forget": Parser.forget, "cut": Parser.cut,
+    "then": Parser.block, "loop": Parser.block, "iterate": Parser.block, "call": Parser.call,
+    "else": Parser.misplaced, "end": Parser.misplaced, "Current": Parser.misplaced,
+    "procedure": Parser.misplaced,
+}
 
 
 def parse(text: str, level: str = "e2") -> Program:
     """Parse and validate source text at the given tier."""
     if level not in LEVELS:
         raise SourceError(f"unknown level {level!r}; expected one of {LEVELS}")
-    return Parser(tokenize(text), level).program(level)
+    return Parser(tokenize(text), level).program()
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +666,9 @@ def instructions_of(prog: Program) -> Iterator[Instruction]:
 def validate(prog: Program) -> None:
     """Whole-program checks: distinct procedure names, main shape, call
     targets and arity, each reported at the declaration or call at fault
-    (a missing main at the first declaration).  The level fences are the
-    parser's: it rejects each form above the tier at the token that
-    introduces it."""
+    (a missing main at the first declaration; calls in source order).
+    The level fences are the parser's: it rejects each form above the
+    tier at the token that introduces it."""
     seen: Set[str] = set()
     for proc in prog.procedures:
         if proc.name in seen:
@@ -648,18 +680,17 @@ def validate(prog: Program) -> None:
     main = prog.procedure(prog.main)
     if main.formals:
         raise SourceError(f"{prog.main!r} must not take arguments", *main.pos)
-    for ins in instructions_of(prog):
-        if isinstance(ins, Call):
-            try:
-                callee = prog.procedure(ins.proc)
-            except SourceError as exc:
-                raise SourceError(exc.message, *ins.pos) from None
-            if len(ins.args) != len(callee.formals):
-                raise SourceError(
-                    f"call to {ins.proc!r} passes {len(ins.args)} argument(s); "
-                    f"it declares {len(callee.formals)}",
-                    *ins.pos,
-                )
+    for ins in prog.facts.calls:
+        try:
+            callee = prog.procedure(ins.proc)
+        except SourceError as exc:
+            raise SourceError(exc.message, *ins.pos) from None
+        if len(ins.args) != len(callee.formals):
+            raise SourceError(
+                f"call to {ins.proc!r} passes {len(ins.args)} argument(s); "
+                f"it declares {len(callee.formals)}",
+                *ins.pos,
+            )
 
 
 # ---------------------------------------------------------------------------

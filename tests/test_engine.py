@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 import re
@@ -6,7 +5,7 @@ import time
 from collections import Counter, deque
 
 import pytest
-from conftest import read_program
+from conftest import load_gen, read_program
 from test_relations import ref_subst
 
 from aliascalc import relations as rel
@@ -690,15 +689,6 @@ class OldFrame(Analysis):
                 and not has_negation(e) and not has_negation(f)
             )
         return out
-
-
-def load_gen():
-    """bench/gen.py, the benchmark's program generator, imported read-only."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_gen", os.path.join(os.path.dirname(PROGRAMS), "bench", "gen.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 GEN = load_gen()

@@ -1,11 +1,14 @@
 import os
 import random
+import re
 import sys
+import time
 
 import pytest
-from conftest import ROOT, read_program
+from conftest import ROOT, load_gen, read_program
 from hypothesis import given, settings, strategies as st
 
+from aliascalc import lang
 from aliascalc.lang import (
     Assign,
     Call,
@@ -19,7 +22,6 @@ from aliascalc.lang import (
     Repeat,
     Skip,
     SourceError,
-    _TOKEN_RE,
     instructions_of,
     iterate,
     parse,
@@ -34,10 +36,39 @@ def body_of(text, level="e2"):
     return prog.procedure(prog.main).body
 
 
-# -- lexer --------------------------------------------------------------------
+# -- scanner --------------------------------------------------------------------
+
+# The tokenizer before the one-pass scanner, kept as an independent
+# reference: one regex match per token, blank run or comment.
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<comment>--[^\n]*)
+    | (?P<ws>[ \t\r]+)
+    | (?P<sep>[\n;])
+    | (?P<assign>:=)
+    | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<number>[0-9]+)
+    | (?P<dot>\.)
+    | (?P<comma>,)
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    """,
+    re.VERBOSE,
+)
+
+KINDS = {"": "EOF", "\n": "SEP", ";": "SEP", ":=": "ASSIGN", ".": "DOT", ",": "COMMA",
+         "(": "LPAREN", ")": "RPAREN"}
+
+
+def scanned(text):
+    """tokenize's result as the reference's (kind, text, line, col) tuples."""
+    tokens = tokenize(text)
+    return [(KINDS.get(tok) or ("NUMBER" if tok.isdigit() else "NAME"), tok,
+             *tokens.position(i)) for i, tok in enumerate(tokens)]
+
 
 def test_tokenize_positions():
-    toks = tokenize("x := y\ncut a, b")
+    toks = scanned("x := y\ncut a, b")
     assign = next((line, col) for kind, _, line, col in toks if kind == "ASSIGN")
     assert assign == (1, 3)
     cut = next((line, col) for _, text, line, col in toks if text == "cut")
@@ -45,7 +76,7 @@ def test_tokenize_positions():
 
 
 def test_tokenize_comments_and_separators():
-    toks = tokenize("skip -- trailing words := ; ,\nskip")
+    toks = scanned("skip -- trailing words := ; ,\nskip")
     kinds = [kind for kind, _, _, _ in toks]
     assert kinds == ["NAME", "SEP", "NAME", "EOF"]
 
@@ -57,12 +88,13 @@ def test_tokenize_rejects_unknown_characters():
 
 
 def reference_tokenize(text):
-    """The character-by-character tokenizer that ``finditer`` replaced."""
+    """The character-by-character tokenizer, on its own copy of the old
+    token pattern."""
     tokens = []
     line, line_start = 1, 0
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = REFERENCE_TOKEN_RE.match(text, pos)
         if m is None:
             raise SourceError(
                 f"unexpected character {text[pos]!r}", line, pos - line_start + 1
@@ -93,13 +125,22 @@ def lexed(tokenizer, text):
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "programs"))))
 def test_tokenize_agrees_with_reference_on_fixtures(name):
     text = read_program(name)
-    assert tokenize(text) == reference_tokenize(text)
+    assert scanned(text) == reference_tokenize(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=list("xyab_019 \t\r\n;:=.,()-'$é"), max_size=40))
 def test_tokenize_agrees_with_reference_on_random_text(text):
-    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+    assert lexed(scanned, text) == lexed(reference_tokenize, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["x", "y1", "007", ":=", ":", "=", ".", ",", "(", ")", ";", "\n", "\r\n", " ", "\t",
+     "--", "-- a.b", "-", "'", "$", "é", "\ud800", "end", "Current"]), max_size=20))
+def test_tokenize_agrees_with_reference_on_random_pieces(pieces):
+    text = "".join(pieces)
+    assert lexed(scanned, text) == lexed(reference_tokenize, text)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -108,11 +149,103 @@ def test_tokenize_agrees_with_reference_on_random_text(text):
     ("x := y\n  z := w$", (2, 9)),
     ("x := y -- fine\n\né", (3, 1)),
     ("call x.p (a')", (1, 12)),
+    ("x := y   \t$", (1, 11)),
+    ("x := y -- c\n  \r-z", (2, 4)),
+    ("-- only a comment\n  :\n", (2, 3)),
+    ("x\n   $ y\n$", (2, 4)),
 ])
 def test_tokenize_reports_the_first_bad_character(text, where):
-    got = lexed(tokenize, text)
+    got = lexed(scanned, text)
     assert got == lexed(reference_tokenize, text)
     assert got[1:] == where
+
+
+def test_a_long_blank_run_before_a_bad_character_is_scanned_once():
+    # A search that re-read the blanks from each of their positions would
+    # take seconds here (quadratic in the run); the scan takes milliseconds.
+    text = "x" + " " * 10_000 + "$"
+    start = time.perf_counter()
+    with pytest.raises(SourceError) as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (1, 10_002)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text, tokens", [
+    # A comment is not cut short to let its tail lex as tokens.
+    ("x := y -- a.b", ["x", ":=", "y", ""]),
+    ("-- x", [""]),
+    ("-- x\n", ["\n", ""]),
+    ("--", [""]),
+    ("x := y", ["x", ":=", "y", ""]),
+    ("\n)c,-- 1", ["\n", ")", "c", ",", ""]),
+    ("x   ", ["x", ""]),
+    ("", [""]),
+])
+def test_tokenize_folds_blanks_and_comments_into_the_next_token(text, tokens):
+    got = tokenize(text)
+    assert got == tokens
+    assert [tok[1] for tok in reference_tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, where", [
+    ("x := y -- a.b", (1, 14)),
+    ("x := y\n-- last", (2, 8)),
+    ("x := y\r\n  -- last\n", (3, 1)),
+    ("x", (1, 2)),
+    ("", (1, 1)),
+])
+def test_end_of_input_position_after_a_trailing_comment(text, where):
+    tokens = tokenize(text)
+    assert tokens.position(len(tokens) - 1) == where
+    assert reference_tokenize(text)[-1][2:] == where
+
+
+@pytest.mark.parametrize("text, message, where", [
+    ("x := -- c", "expected a variable or Current, found 'end of input'", (1, 10)),
+    ("x := -- c\n", "expected a variable or Current, found '\\n'", (1, 10)),
+    ("then skip -- c", "expected 'else', found 'end of input'", (1, 15)),
+    ("loop skip\n  -- c\n\t", "expected 'end', found 'end of input'", (3, 2)),
+])
+def test_errors_at_the_end_of_input_point_past_the_trailing_text(text, message, where):
+    with pytest.raises(SourceError) as err:
+        parse(text)
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, where)
+
+
+def generated_texts():
+    gen = load_gen()
+    for seed in range(30):
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            yield gen.interproc_program(rng, "e1", 12)
+        elif seed % 3 == 1:
+            yield gen.interproc_program(rng, "e2", 6)
+        else:
+            yield gen.recursive_program(rng, 8)
+
+
+def test_token_count_for_the_tracer():
+    # bench/tracer.py counts len(tokenize(text)) - 1 tokens per parse:
+    # the list holds one entry per token and exactly one EOF, last.
+    texts = [read_program(name) for name in sorted(os.listdir(os.path.join(ROOT, "programs")))]
+    for text in texts + list(generated_texts()):
+        tokens = tokenize(text)
+        assert len(tokens) - 1 == len(reference_tokenize(text)) - 1
+        assert tokens.count("") == 1 and tokens[-1] == ""
+
+
+def test_parse_looks_tokenize_up_on_the_module(monkeypatch):
+    # The tracer rebinds lang.tokenize; parse must call whatever it names.
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(lang, "tokenize", counting)
+    parse("x := y", level="e0")
+    assert seen == ["x := y"]
 
 
 # -- statements ----------------------------------------------------------------
