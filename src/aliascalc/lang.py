@@ -453,9 +453,6 @@ class Parser:
     def fenced_path(self, what: str, i: int) -> Tuple[Path, int]:
         """A path in a position where tiers below e2 allow only a plain
         variable (no dots, not Current)."""
-        word = self.toks[i]
-        if word.isidentifier() and word not in KEYWORDS and self.toks[i + 1] != ".":
-            return (word,), i + 1
         p, end = self.path(i)
         if len(p) != 1 and self.level != "e2":
             if p:
@@ -483,10 +480,6 @@ class Parser:
                 ins, i = rule(self, i)
             elif not word.isidentifier():
                 raise self.expected("a statement", i)
-            elif toks[i + 1] == ":=":
-                # The commonest statement: assignment to a plain variable.
-                source, i = self.fenced_path("assignment source", i + 2)
-                ins = Assign((word,), source)
             else:
                 ins, i = self.assignment(i)
             out.append(ins)
