@@ -12,15 +12,10 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import relations as rel
 from .engine import AnalysisConfig, analyze, resolve_max_dots
 from .lang import LEVELS, SourceError, parse
 from .paths import Path, render
-from .relations import (
-    parse_relation_literal,
-    render_relation,
-    to_assertion,
-)
+from .relations import canonical, parse_relation_literal, render_relation, to_assertion
 
 OUTPUTS = ("relation", "trace", "assertion", "dot", "modvars", "soundness")
 
@@ -55,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="{}",
         metavar="REL",
         help='initial alias relation, e.g. "{b,c},{f,g}" (default: empty)',
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("may", "must"),
-        default="may",
-        help="may-alias (default) or must-alias analysis",
     )
     parser.add_argument(
         "--max-dots",
@@ -127,8 +116,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output == "soundness" and args.level != "e0":
         parser.error("--output soundness requires --level e0")
-    if args.output == "soundness" and args.mode == "must":
-        parser.error("--output soundness checks may containment; it needs --mode may")
     if args.max_dots is not None and args.max_dots < 0:
         parser.error("--max-dots must be nonnegative")
     if args.unroll < 1:
@@ -159,7 +146,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report.render())
         return 3 if report.violation_count else 0
 
-    config = AnalysisConfig(mode=args.mode, max_dots=args.max_dots)
+    config = AnalysisConfig(max_dots=args.max_dots)
 
     if args.output == "modvars":
         from .modvars import modified_vars
@@ -177,9 +164,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.output == "trace":
         print(_render_trace(result.trace))
     elif args.output == "assertion":
-        print(to_assertion(result.relation, program.facts.expressions))
+        max_dots = resolve_max_dots(program, config, init)
+        print(to_assertion(result.relation, program.facts.expressions, max_dots))
     elif args.output == "dot":
-        print(emit_dot(rel.canonical(result.relation)))
+        print(emit_dot(canonical(result.relation)))
     return 0
 
 

@@ -56,6 +56,11 @@ LEVELS = ("e0", "e1", "e2")
 # every one of them inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Most segments of a written path, ``Current`` not counted.  Completing a
+# dotted source recurses once per segment; a path at the limit stays inside
+# the recursion limit even under MAX_NESTING blocks or nested calls.
+MAX_SEGMENTS = 256
+
 
 class SourceError(Exception):
     """Parse or validation failure, carrying a source position."""
@@ -447,6 +452,10 @@ class Parser:
             if word != "Current":
                 segs.append(word)
             if toks[i + 1] != ".":
+                if len(segs) > MAX_SEGMENTS:
+                    while toks[i - 1] == ".":  # back to the path's first segment
+                        i -= 2
+                    raise self.error(f"path has more than {MAX_SEGMENTS} segments", i)
                 return tuple(segs), i + 1
             i += 2
 

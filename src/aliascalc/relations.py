@@ -324,19 +324,20 @@ def parse_relation_literal(text: str) -> Relation:
         rest = rest[1:]
 
 
-def to_assertion(a: Relation, universe: Iterable[Path]) -> str:
+def to_assertion(a: Relation, universe: Iterable[Path], max_dots: int) -> str:
     """Negation of a relation as a conjunction of disequalities.
 
-    Every unordered pair of distinct universe members *not* in the relation
-    contributes one ``e ≠ f`` clause; a pair in the relation asserts nothing
-    (the two sides may or may not be equal).  An empty conjunction renders
-    as ``true``.
+    Every unordered pair of distinct universe members that is aliased
+    neither way (``aliased`` at the dot budget, completions included)
+    contributes one ``e ≠ f`` clause; an aliased pair asserts nothing (the
+    two sides may or may not be equal).  An empty conjunction is ``true``.
     """
     uni = sorted(set(universe), key=render)
+    partners = {e: quotient(a, e, max_dots) for e in uni}
     clauses: List[str] = []
     for i, e in enumerate(uni):
         for f in uni[i + 1 :]:
-            if make_pair(e, f) not in a:
+            if f not in partners[e] and e not in partners[f]:
                 lhs, rhs = sorted((render(e), render(f)))
                 clauses.append(f"{lhs} ≠ {rhs}")
     if not clauses:

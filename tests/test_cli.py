@@ -2,14 +2,20 @@
 diagnostics, and byte-stability."""
 
 import io
+import os
+import re
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
+from conftest import ROOT, read_program
 
 from aliascalc.cli import main
-from aliascalc.lang import MAX_NESTING
-from aliascalc.relations import parse_relation_literal
+from aliascalc.engine import AnalysisConfig, analyze, resolve_max_dots
+from aliascalc.lang import MAX_NESTING, MAX_SEGMENTS, parse
+from aliascalc.paths import parse_path, render
+from aliascalc.relations import EMPTY, aliased, parse_relation_literal
 
 PROGRAMS = "programs"
 
@@ -216,6 +222,52 @@ def test_assertion_omits_aliased_pairs(capsys, monkeypatch):
     assert "x ≠ y" not in out
 
 
+def test_assertion_omits_pairs_aliased_by_completion(capsys, monkeypatch):
+    # x.a and y.a are no stored pair, but x ~ y completes them to one; the
+    # assertion used to read the stored pairs alone and print x.a ≠ y.a.
+    text = "x := y ; z := x.a ; w := y.a"
+    code, out, _ = run_cli(
+        ["--output", "assertion"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0
+    assert "x.a ≠ y.a" not in out
+    assert out == (
+        "Current ≠ w and Current ≠ x and Current ≠ x.a and Current ≠ y"
+        " and Current ≠ y.a and Current ≠ z and w ≠ x and w ≠ y and x ≠ x.a"
+        " and x ≠ y.a and x ≠ z and x.a ≠ y and y ≠ y.a and y ≠ z\n"
+    )
+    assert aliased(analyze(parse(text), EMPTY).relation, ("x", "a"), ("y", "a"), 3)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(os.path.join(ROOT, PROGRAMS)) if n.endswith(".e2")))
+def test_assertion_clauses_are_exactly_the_pairs_aliased_denies(name, capsys):
+    # Each pair of written expressions is printed apart exactly when the
+    # library's own query, at the analysis's budget, says it is not aliased.
+    text = read_program(name)
+    found = re.search(r'--init "([^"]*)"', text)
+    init_text = found.group(1) if found else "{}"
+    code, out, _ = run_cli(
+        [f"{PROGRAMS}/{name}", "--init", init_text, "--output", "assertion"], capsys=capsys
+    )
+    assert code == 0
+    printed = set()
+    if out != "true\n":
+        for clause in out.rstrip("\n").split(" and "):
+            lhs, rhs = clause.split(" ≠ ")
+            printed.add((parse_path(lhs), parse_path(rhs)))
+    program, init = parse(text), parse_relation_literal(init_text)
+    relation = analyze(program, init).relation
+    budget = resolve_max_dots(program, AnalysisConfig(), init)
+    apart = {
+        tuple(sorted((e, f), key=render))
+        for e, f in combinations(program.facts.expressions, 2)
+        if not aliased(relation, e, f, budget) and not aliased(relation, f, e, budget)
+    }
+    assert printed == apart
+    assert printed
+
+
 def test_dot_output_shape(capsys, monkeypatch):
     code, out, _ = run_cli(
         [
@@ -312,17 +364,19 @@ def test_usage_error_soundness_needs_e0(capsys):
     assert "requires --level e0" in err
 
 
-def test_usage_error_soundness_needs_may_mode(capsys, monkeypatch):
-    # The check is may containment; a correct must result ({} here) would
-    # read as a violation.
-    code, out, err = run_cli(
-        ["--level", "e0", "--mode", "must", "--output", "soundness"],
-        stdin_text="then x := y else skip end",
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert (code, out) == (1, "")
-    assert "soundness checks may containment" in err
+def test_usage_error_mode_option_is_gone(capsys, monkeypatch):
+    # Every output reads the one may analysis; must mode is a library
+    # setting only, so --mode is an unknown option, for soundness too.
+    code, out, _ = run_cli(["--help"], capsys=capsys)
+    assert code == 0
+    assert "--mode" not in out and "must" not in out
+    for argv in (["--mode", "must", "-"], ["--mode", "may"],
+                 ["--level", "e0", "--mode", "must", "--output", "soundness"]):
+        code, out, err = run_cli(
+            argv, stdin_text="then x := y else skip end", monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --mode" in err
 
 
 def test_usage_error_bad_init(capsys):
@@ -429,6 +483,36 @@ def test_nesting_at_limit_analyses(capsys, monkeypatch):
         )
         assert code == 0
         assert out == "{x, y}\n"
+
+
+def test_path_beyond_limit_is_a_diagnostic(capsys, monkeypatch):
+    # A source of about 990 segments used to end in a RecursionError
+    # traceback from the completion in relations.quotient, with exit 1.
+    for n in (MAX_SEGMENTS + 1, 5000):
+        code, out, err = run_cli(
+            [], stdin_text="x := y\nz := x" + ".a" * (n - 1),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"<stdin>:2:6: path has more than {MAX_SEGMENTS} segments\n"
+
+
+def test_path_at_limit_analyses_inside_the_deepest_nesting(capsys, monkeypatch):
+    # Completing the source recurses once per segment, on top of the
+    # frames of the blocks or calls around it: 100 nested iterate blocks,
+    # and 50 nested calls that each sit in an iterate block.
+    source = "x" + ".a" * (MAX_SEGMENTS - 1)
+    n = MAX_NESTING
+    calls = ["procedure Main\n  call p1\nend"]
+    calls += [f"procedure p{k}\n  iterate 2 call p{k + 1} end\nend" for k in range(1, n // 2)]
+    calls.append(f"procedure p{n // 2}\n  z := {source}\nend")
+    for text in ("iterate 2 " * n + f"z := {source}" + " end" * n, "\n".join(calls)):
+        code, out, _ = run_cli(
+            [], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        assert out == f"{{{source}, z}}\n"
 
 
 def test_iterate_count_too_long_to_convert_is_a_diagnostic(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Every fixture under every --mode and --output, run through cli.main in
+"""Every fixture under every --output, run through cli.main in
 process and compared with a golden file: stdout, stderr and exit code.
 
 Each run uses the fixture's level (its file extension) and the --init
@@ -19,20 +19,18 @@ from aliascalc.cli import OUTPUTS, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_runs.json")
-MODES = ("may", "must")
 
 
 def fixture_argvs():
-    """(key, argv) for each fixture × mode × output, paths relative to the root."""
+    """(key, argv) for each fixture × output, paths relative to the root."""
     for name in sorted(os.listdir(os.path.join(ROOT, "programs"))):
         with open(os.path.join(ROOT, "programs", name), encoding="utf-8") as handle:
             found = re.search(r'--init "([^"]*)"', handle.read())
         init = found.group(1) if found else "{}"
-        for mode in MODES:
-            for output in OUTPUTS:
-                argv = [f"programs/{name}", "--level", name[-2:], "--init", init,
-                        "--mode", mode, "--output", output]
-                yield f"{name} --mode {mode} --output {output}", argv
+        for output in OUTPUTS:
+            argv = [f"programs/{name}", "--level", name[-2:], "--init", init,
+                    "--output", output]
+            yield f"{name} --output {output}", argv
 
 
 def run(argv):
@@ -49,13 +47,13 @@ def all_runs():
     return {key: run(argv) for key, argv in fixture_argvs()}
 
 
-def test_every_fixture_mode_and_output_matches_the_golden_file(monkeypatch):
+def test_every_fixture_and_output_matches_the_golden_file(monkeypatch):
     # argparse wraps its usage line to the terminal width.
     monkeypatch.setenv("COLUMNS", "80")
     with open(GOLDEN, encoding="utf-8") as handle:
         golden = json.load(handle)
     runs = all_runs()
-    assert len(runs) == 156
+    assert len(runs) == 78
     assert sorted(runs) == sorted(golden)
     for key, got in runs.items():
         assert got == golden[key], key

@@ -378,6 +378,20 @@ def test_qualified_assignment_gets_setter_hint():
     assert (err.value.line, err.value.col) == (1, 1)
 
 
+def test_path_length_is_fenced_in_every_position():
+    # Each position that reads a path reports one past the limit at the
+    # path's first token; Current segments vanish and do not count.
+    at = ".".join(["x"] * lang.MAX_SEGMENTS)
+    over = at + ".x"
+    assert parse(f"z := Current.{at}").procedures[0].body == (Assign(var("z"), parse_path(at)),)
+    for text, col in ((f"z := {over}", 6), (f"cut y, {over}", 8), (f"call {over}.q", 6),
+                      (f"call q ({over})", 9), (f"{over} := y", 1)):
+        with pytest.raises(SourceError) as err:
+            parse(text)
+        assert err.value.message == f"path has more than {lang.MAX_SEGMENTS} segments"
+        assert (err.value.line, err.value.col) == (1, col), text
+
+
 def test_cannot_assign_to_current():
     with pytest.raises(SourceError) as err:
         parse("Current := x")

@@ -269,13 +269,13 @@ def test_canonical_matches_brute_force_on_fixed_cases():
 
 def test_to_assertion():
     a = lit("{x,y}")
-    out = to_assertion(a, paths_of("x", "y", "z"))
+    out = to_assertion(a, paths_of("x", "y", "z"), 3)
     assert out == "x ≠ z and y ≠ z"
 
 
 def test_to_assertion_empty_conjunction():
     a = lit("{x,y}")
-    assert to_assertion(a, paths_of("x", "y")) == "true"
+    assert to_assertion(a, paths_of("x", "y"), 3) == "true"
 
 
 # -- property-based ----------------------------------------------------------------
