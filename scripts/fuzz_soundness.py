@@ -4,7 +4,7 @@ their concrete executions, and verify every observed alias was predicted
 by the analysis.
 
 Usage:
-    python3 scripts/fuzz_soundness.py [--trials N] [--seed S] [--unroll K]
+    python3 scripts/fuzz_soundness.py [--trials N] [--seed S]
 
 Exits 1 if any trial produced a containment or modified-variable
 violation; cut-assumption reports are counted but are not failures.
@@ -18,7 +18,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from aliascalc.lang import pretty
-from aliascalc.oracle import ExecBounds, check_soundness
+from aliascalc.oracle import check_soundness
 from aliascalc.randprog import random_program
 
 
@@ -26,7 +26,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--unroll", type=int, default=4)
     ap.add_argument("--max-instructions", type=int, default=12)
     ap.add_argument("--max-vars", type=int, default=6)
     ap.add_argument(
@@ -35,7 +34,6 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    bounds = ExecBounds(loop_unroll=args.unroll)
     failures = 0
     cut_reports = 0
     paths = 0
@@ -46,7 +44,7 @@ def main() -> int:
             max_instructions=args.max_instructions,
             max_vars=args.max_vars,
         )
-        rep = check_soundness(prog, bounds)
+        rep = check_soundness(prog)
         paths += rep.paths
         cut_reports += len(rep.cut_violations)
         if args.verbose:

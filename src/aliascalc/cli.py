@@ -64,13 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="relation",
         help="what to print (default: relation)",
     )
-    parser.add_argument(
-        "--unroll",
-        type=int,
-        default=4,
-        metavar="N",
-        help="loop unrolling bound for the soundness check (default: 4)",
-    )
     return parser
 
 
@@ -118,8 +111,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--output soundness requires --level e0")
     if args.max_dots is not None and args.max_dots < 0:
         parser.error("--max-dots must be nonnegative")
-    if args.unroll < 1:
-        parser.error("--unroll must be positive")
 
     try:
         init = parse_relation_literal(args.init)
@@ -140,9 +131,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The oracle and modvars are imported by the outputs that run them, so
     # the other outputs do not load them.
     if args.output == "soundness":
-        from .oracle import ExecBounds, check_soundness
+        from .oracle import check_soundness
 
-        report = check_soundness(program, ExecBounds(loop_unroll=args.unroll))
+        report = check_soundness(program)
         print(report.render())
         return 3 if report.violation_count else 0
 

@@ -1,16 +1,19 @@
 """Concrete reference semantics for the base tier, and the soundness check.
 
-A concrete state maps defined variables to opaque addresses; ``create``
-draws the next unused address, so runs are reproducible.  An *execution*
-is a state plus what happened along the way: which variables were assigned,
-which ``cut`` assumptions turned out to be violated (the operands were in
-fact aliased — ``cut`` itself never changes the state), and a trail of the
+A concrete state maps defined variables to opaque addresses, numbered in
+order of first reach from the sorted variables: two states that differ
+only in how their objects are numbered are the same state, so a state is
+just the partition of the defined variables into shared objects, and the
+states of a program range over a finite set.  An *execution* is a state
+plus what happened along the way: which variables were assigned, which
+``cut`` assumptions turned out to be violated (the operands were in fact
+aliased — ``cut`` itself never changes the state), and a trail of the
 nondeterministic choices taken, kept only as a witness for reports.
 
 The interpreter enumerates executions, deduplicating on everything except
-the trail, with loops unrolled up to a bound; a probe iteration afterwards
-detects whether the bound was actually reached, so exactly-explored
-programs are not labeled "bounded".
+the trail, and runs each loop to the fixpoint of its executions.  Only the
+cap on the number of executions can cut the enumeration short; a run it
+truncated is reported as bounded.
 
 The soundness check compares, for every final execution, the aliasing in
 the concrete state against the analysis result: every concrete alias pair
@@ -50,37 +53,40 @@ from .relations import Relation
 
 
 class ExecBounds(Record):
-    __slots__ = ("loop_unroll", "max_paths")
+    __slots__ = ("max_paths",)
 
-    def __init__(self, loop_unroll: int = 4, max_paths: int = 20_000):
-        if loop_unroll < 1 or max_paths < 1:
+    def __init__(self, max_paths: int = 20_000):
+        if max_paths < 1:
             raise ValueError("bounds must be positive")
-        object.__setattr__(self, "loop_unroll", loop_unroll)
         object.__setattr__(self, "max_paths", max_paths)
 
 
 class ConcreteState(Record):
-    """values: sorted (variable, address) pairs; next_addr: first address
-    never yet allocated.  Defined variables are exactly the value keys."""
+    """values: sorted (variable, address) pairs, the addresses numbered
+    0, 1, ... in order of first reach.  Defined variables are exactly the
+    value keys."""
 
-    __slots__ = ("values", "next_addr")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Tuple[Tuple[str, int], ...], next_addr: int):
+    def __init__(self, values: Tuple[Tuple[str, int], ...]):
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "next_addr", next_addr)
 
     def value_map(self) -> Dict[str, int]:
         return dict(self.values)
 
 
-def _mk_state(values: Dict[str, int], next_addr: int) -> ConcreteState:
-    return ConcreteState(tuple(sorted(values.items())), next_addr)
+def _mk_state(values: Dict[str, int]) -> ConcreteState:
+    """The canonical state that shares objects as ``values`` does."""
+    renumber: Dict[int, int] = {}
+    return ConcreteState(tuple(
+        (name, renumber.setdefault(addr, len(renumber)))
+        for name, addr in sorted(values.items())
+    ))
 
 
 def initial_state(variables: Iterable[str]) -> ConcreteState:
     """Every variable created, all addresses pairwise distinct."""
-    names = sorted(set(variables))
-    return _mk_state({v: i for i, v in enumerate(names)}, len(names))
+    return _mk_state({v: i for i, v in enumerate(variables)})
 
 
 class Execution(Record):
@@ -141,7 +147,6 @@ class Interpreter:
 
     def __init__(self, bounds: ExecBounds = ExecBounds()):
         self.bounds = bounds
-        self.bounded = False
         self.truncated = False
 
     def _clamp(self, execs: ExecSet) -> ExecSet:
@@ -173,52 +178,32 @@ class Interpreter:
         )
 
     def step_one(self, ex: Execution, ins: Instruction) -> Execution:
-        values = ex.state.value_map()
-        next_addr = ex.state.next_addr
         if isinstance(ins, Skip):
             return ex
-        if isinstance(ins, Create):
-            values[ins.name] = next_addr
-            return Execution(
-                _mk_state(values, next_addr + 1),
-                ex.assigned | {ins.name},
-                ex.cut_violations,
-                ex.trail,
-            )
-        if isinstance(ins, Forget):
-            values.pop(ins.name, None)
-            return Execution(
-                _mk_state(values, next_addr),
-                ex.assigned | {ins.name},
-                ex.cut_violations,
-                ex.trail,
-            )
-        if isinstance(ins, Assign):
-            x, y = ins.target[0], ins.source[0]
-            if y not in values:
-                # An undefined source behaves like forgetting the target.
-                values.pop(x, None)
-            else:
-                values[x] = values[y]
-            return Execution(
-                _mk_state(values, next_addr),
-                ex.assigned | {x},
-                ex.cut_violations,
-                ex.trail,
-            )
+        values = ex.state.value_map()
         if isinstance(ins, Cut):
             x, y = ins.left[0], ins.right[0]
             violations = ex.cut_violations
             if x in values and y in values and values[x] == values[y]:
-                desc = f"{x} ~ {y} at '{one_line(ins)}'"
-                violations = violations | {desc}
-            return Execution(
-                ex.state,
-                ex.assigned | {x, y},
-                violations,
-                ex.trail,
-            )
-        raise TypeError(f"unhandled instruction {ins!r}")  # pragma: no cover
+                violations = violations | {f"{x} ~ {y} at '{one_line(ins)}'"}
+            return Execution(ex.state, ex.assigned | {x, y}, violations, ex.trail)
+        if isinstance(ins, Create):
+            target = ins.name
+            # The addresses in use are below the number of variables.
+            values[target] = len(values)
+        elif isinstance(ins, Forget):
+            target = ins.name
+            values.pop(target, None)
+        elif isinstance(ins, Assign):
+            target, source = ins.target[0], ins.source[0]
+            if source in values:
+                values[target] = values[source]
+            else:
+                # An undefined source behaves like forgetting the target.
+                values.pop(target, None)
+        else:  # pragma: no cover
+            raise TypeError(f"unhandled instruction {ins!r}")
+        return Execution(_mk_state(values), ex.assigned | {target}, ex.cut_violations, ex.trail)
 
     def run_repeat(self, execs: ExecSet, ins: Repeat) -> ExecSet:
         """``ins.count`` passes of the body.  Which executions a pass yields,
@@ -230,21 +215,19 @@ class Interpreter:
         return iterate(lambda e: self.run_body(e, ins.body), execs, ins.count, key=list)
 
     def run_loop(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
-        """Exits after 0..unroll iterations; a probe iteration decides
-        whether stopping was an artifact of the bound."""
+        """Exits after any number of iterations: runs the body on the
+        executions not seen before until it yields none, which happens
+        because execution keys range over a finite set."""
         seen = _exec_set(_mark(ex, "loop") for ex in execs.values())
-        frontier = dict(seen)
-        for _ in range(self.bounds.loop_unroll):
-            frontier = self.run_body(frontier, body)
-            fresh = {k: ex for k, ex in frontier.items() if k not in seen}
-            if not fresh:
-                return seen
+        frontier = seen
+        while frontier:
+            fresh = {k: ex for k, ex in self.run_body(frontier, body).items()
+                     if k not in seen}
             seen.update(fresh)
             seen = self._clamp(seen)
-            frontier = fresh
-        probe = self.run_body(frontier, body)
-        if any(k not in seen for k in probe):
-            self.bounded = True
+            # What the cap dropped is not run again, or the loop could yield
+            # it again on every pass.
+            frontier = {k: ex for k, ex in fresh.items() if k in seen}
         return seen
 
 
@@ -268,7 +251,7 @@ def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResul
     final = interp.run_body(_exec_set([start]), program.procedure(program.main).body)
     return RunResult(
         executions=list(final.values()),
-        bounded=interp.bounded or interp.truncated,
+        bounded=interp.truncated,
         truncated=interp.truncated,
     )
 

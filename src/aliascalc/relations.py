@@ -140,7 +140,8 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
     The recursion is on path length (splits are strictly shorter), with a
     memo over the sub-paths.  A split of a contiguous sub-path of y is again
     one, so only their stored partners are ever needed, and one scan of the
-    relation collects them.  ``max_dots`` is nonnegative.
+    relation collects them; when it finds none for a proper sub-path, the
+    quotient is y and its own partners.  ``max_dots`` is nonnegative.
     """
     n = len(y)
     needed = {y[i:j] for i in range(n) for j in range(i + 1, n + 1)}
@@ -151,6 +152,9 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
             partners.setdefault(e, set()).add(f)
         if f in needed:
             partners.setdefault(f, set()).add(e)
+    if partners.keys() <= {y}:
+        # No proper sub-path has a partner, so no split recombines.
+        return frozenset(partners.get(y, ())) | {y}
     limit = max_dots + 1
     memo: Dict[Path, Set[Path]] = {}
 

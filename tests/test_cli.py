@@ -391,10 +391,18 @@ def test_usage_error_missing_file(capsys):
     assert "No such file" in err or "no/such/file.e0" in err
 
 
-def test_usage_error_bad_unroll(capsys):
-    code, _, err = run_cli(["--unroll", "0"], capsys=capsys)
-    assert code == 1
-    assert "--unroll" in err
+def test_usage_error_unroll_option_is_gone(capsys, monkeypatch):
+    # The soundness check runs every loop to its fixpoint, so there is no
+    # unrolling bound to set.
+    code, out, _ = run_cli(["--help"], capsys=capsys)
+    assert code == 0
+    assert "--unroll" not in out
+    for argv in (["--unroll", "2", "-"], ["--level", "e0", "--output", "soundness", "--unroll", "4"]):
+        code, out, err = run_cli(
+            argv, stdin_text="loop x := y end", monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --unroll" in err
 
 
 def test_usage_error_negative_max_dots(capsys):
@@ -558,17 +566,20 @@ def test_module_entry_point_runs():
 
 
 def test_soundness_of_a_long_iterate_returns_quickly():
-    # A period-2 body: the oracle reads the count off the cycle, as the
-    # analysis does, instead of running 10^20 passes.
-    proc = subprocess.run(
-        [sys.executable, "-m", "aliascalc.cli", "-", "--level", "e0", "--output", "soundness"],
-        input="iterate 99999999999999999999\n  t := x ; x := y ; y := t\nend\n",
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "checked 1 paths, 0 violations, bounded: no\n"
+    # The oracle reads the count off the cycle of its passes, as the
+    # analysis does, instead of running 10^20 passes: a swap, and a body
+    # that allocates, whose fresh object is numbered like the one it
+    # replaces.
+    for body in ("t := x ; x := y ; y := t", "create x"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aliascalc.cli", "-", "--level", "e0", "--output", "soundness"],
+            input=f"iterate 99999999999999999999\n  {body}\nend\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), body
+        assert proc.stdout == "checked 1 paths, 0 violations, bounded: no\n", body
 
 
 def loaded_modules(statement):

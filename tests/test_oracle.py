@@ -1,13 +1,21 @@
+import re
+from random import Random
+from typing import NamedTuple, Tuple
+
 import pytest
 from conftest import read_program
 
-from aliascalc.lang import parse
+from aliascalc import oracle
+from aliascalc.lang import Assign, Create, Forget, parse
 from aliascalc.oracle import (
     ConcreteState,
     ExecBounds,
     Execution,
     Interpreter,
+    RunResult,
     _exec_set,
+    _mark,
+    _mk_state,
     aliases_of,
     check_soundness,
     ensure_base_tier,
@@ -16,6 +24,7 @@ from aliascalc.oracle import (
     program_variables,
     run_program,
 )
+from aliascalc.randprog import random_program
 from aliascalc.relations import make_pair, parse_relation_literal as lit
 from aliascalc.paths import var
 
@@ -33,7 +42,6 @@ def value_maps(run):
 def test_initial_state_all_distinct():
     st = initial_state(["b", "a"])
     assert st.value_map() == {"a": 0, "b": 1}
-    assert st.next_addr == 2
     assert aliases_of(st) == lit("{}")
 
 
@@ -41,9 +49,15 @@ def test_aliases_of_groups_by_address():
     st = initial_state(["a", "b", "c"])
     values = dict(st.values)
     values["b"] = values["a"]
-    from aliascalc.oracle import _mk_state
+    assert aliases_of(_mk_state(values)) == lit("{a,b}")
 
-    assert aliases_of(_mk_state(values, st.next_addr)) == lit("{a,b}")
+
+def test_states_are_numbered_in_order_of_first_reach():
+    # Only which variables share an object matters, so two numberings of
+    # the same sharing are one state.
+    want = ConcreteState((("a", 0), ("b", 1), ("c", 0), ("d", 2)))
+    assert _mk_state({"d": 5, "c": 9, "b": 7, "a": 9}) == want
+    assert _mk_state({"a": 0, "b": 1, "c": 0, "d": 2}) == want
 
 
 def test_program_variables():
@@ -82,6 +96,13 @@ def test_create_allocates_fresh_address():
     (ex,) = run.executions
     vm = ex.state.value_map()
     assert vm["x"] != vm["y"]
+
+
+def test_create_of_the_last_holder_gives_back_the_same_state():
+    # The fresh object takes the place of the one x alone held.
+    run = run_program(parse("then create x else skip end", level="e0"))
+    assert len(run.executions) == 2
+    assert len(states_of(run)) == 1
 
 
 def test_forget_removes_variable():
@@ -129,10 +150,21 @@ def test_loop_explores_iteration_counts():
     assert not run.bounded
 
 
-def test_loop_bounded_flag_when_unroll_hits():
-    prog = parse("loop create x ; y := x end", level="e0")
-    run = run_program(prog, ExecBounds(loop_unroll=2))
-    assert run.bounded  # every iteration allocates a fresh address
+@pytest.mark.parametrize("text, unroll, reference_paths", [
+    # Every iteration allocates: numbered by allocation, the states never
+    # recur, so the unrolled reference stops at its bound.
+    ("loop create x ; y := x end", 2, 3),
+    # A seven-variable rotation: numbered by allocation, the states come
+    # round only after six more passes; the sharing is the same after one.
+    ("loop a := b ; b := c ; c := d ; d := e ; e := f ; f := g ; g := a end", 4, 5),
+], ids=["create", "rotation"])
+def test_loop_runs_to_its_fixpoint(text, unroll, reference_paths):
+    prog = parse(text, level="e0")
+    reference = reference_run_program(prog, unroll=unroll)
+    assert (len(reference.executions), reference.bounded) == (reference_paths, True)
+    run = run_program(prog)
+    assert (len(run.executions), run.bounded, run.truncated) == (2, False, False)
+    assert check_soundness(prog).render() == "checked 2 paths, 0 violations, bounded: no"
 
 
 def test_repeat_runs_exactly_n_times():
@@ -142,16 +174,24 @@ def test_repeat_runs_exactly_n_times():
     assert vm["x"] == vm["z"] == vm["y"]
 
 
-ROTATION = "iterate {} t := x ; x := y ; y := t end"
+LONG_RUNS = [
+    "iterate {} t := x ; x := y ; y := t end",
+    "iterate {} create x end",
+    "iterate {} then create x else x := y end ; y := x end",
+    # z shares x's object and the swap moves it between x and y, so the
+    # sharing has period 2; the fresh t each pass does not break the cycle.
+    "z := x\niterate {} t := x ; x := y ; y := t ; create t end",
+]
 
 
 @pytest.mark.parametrize("count, same_as", [(10**20, 2), (10**20 + 1, 3), (1_000_000, 2)])
 def test_repeat_reads_a_long_count_off_the_cycle(count, same_as):
-    # The swap has period 2; the long run would take hours pass by pass.
-    got = run_program(parse(ROTATION.format(count), level="e0"))
-    want = run_program(parse(ROTATION.format(same_as), level="e0"))
-    assert got.executions == want.executions
-    assert (got.bounded, got.truncated) == (want.bounded, want.truncated)
+    # Each body has period 1 or 2; the long run would take hours pass by pass.
+    for text in LONG_RUNS:
+        got = run_program(parse(text.format(count), level="e0"))
+        want = run_program(parse(text.format(same_as), level="e0"))
+        assert got.executions == want.executions, text
+        assert (got.bounded, got.truncated) == (want.bounded, want.truncated), text
 
 
 class PassByPass(Interpreter):
@@ -178,14 +218,14 @@ def test_repeat_keeps_the_executions_of_every_pass(body, count):
     fast, slow = Interpreter(ExecBounds(max_paths=50)), PassByPass(ExecBounds(max_paths=50))
     got, want = fast.run_body(start, main), slow.run_body(start, main)
     assert list(got) == list(want)
-    assert (fast.bounded, fast.truncated) == (slow.bounded, slow.truncated)
+    assert fast.truncated == slow.truncated
 
 
 def test_execution_records_hash_and_compare_by_value():
     state = initial_state(["x", "y"])
-    assert state == ConcreteState((("x", 0), ("y", 1)), 2)
-    assert hash(state) == hash(ConcreteState((("x", 0), ("y", 1)), 2))
-    assert state != ConcreteState((("x", 0), ("y", 1)), 3)
+    assert state == ConcreteState((("x", 0), ("y", 1)))
+    assert hash(state) == hash(ConcreteState((("x", 0), ("y", 1))))
+    assert state != ConcreteState((("x", 0), ("y", 0)))
     ex = Execution(state, frozenset({"x"}))
     assert ex == Execution(state, frozenset({"x"}), frozenset(), ())
     assert ex != Execution(state, frozenset({"x"}), trail=("then",))
@@ -193,14 +233,22 @@ def test_execution_records_hash_and_compare_by_value():
     with pytest.raises(AttributeError):
         ex.trail = ()
     with pytest.raises(ValueError):
-        ExecBounds(loop_unroll=0)
+        ExecBounds(max_paths=0)
 
 
 def test_truncation_flag():
-    text = "\n".join("then create a else create b end" for _ in range(8))
-    run = run_program(parse(text, level="e0"), ExecBounds(loop_unroll=2, max_paths=10))
+    # Each of the eight variables shares x's object or not: 256 alias
+    # outcomes, more than the cap of 10.
+    text = "\n".join(f"then {v} := x else skip end" for v in "abcdefgh")
+    run = run_program(parse(text, level="e0"), ExecBounds(max_paths=10))
     assert run.truncated and run.bounded
-    assert len(run.executions) <= 10
+    assert len(run.executions) == 10
+    run = run_program(parse(text, level="e0"), ExecBounds(max_paths=256))
+    assert not run.truncated and not run.bounded
+    assert len({aliases_of(ex.state) for ex in run.executions}) == 256
+    # A loop whose body has those outcomes ends at the cap as well.
+    run = run_program(parse(f"loop {text} end", level="e0"), ExecBounds(max_paths=10))
+    assert run.truncated and len(run.executions) == 10
 
 
 def test_path_union_excludes_cut_violated_paths():
@@ -247,3 +295,104 @@ def test_soundness_over_mixed_flow_fixture():
     assert rep.modvar_violations == []
     assert len(rep.cut_violations) == 2
 
+
+
+# -- the interpreter on allocation-numbered states --------------------------------------
+
+class ReferenceState(NamedTuple):
+    """A state numbered in allocation order: ``create`` takes next_addr."""
+
+    values: Tuple[Tuple[str, int], ...]
+    next_addr: int
+
+    def value_map(self):
+        return dict(self.values)
+
+
+class ReferenceInterpreter(Interpreter):
+    """The interpreter before states were canonical: addresses from an
+    allocation counter, each loop unrolled at most ``unroll`` times, and
+    a probe iteration that flags the run as bounded when the loop would
+    still have reached a new execution."""
+
+    def __init__(self, bounds, unroll):
+        super().__init__(bounds)
+        self.unroll = unroll
+        self.bounded = False
+
+    def step_one(self, ex, ins):
+        if not isinstance(ins, (Create, Forget, Assign)):
+            return super().step_one(ex, ins)  # skip and cut keep the state
+        values = ex.state.value_map()
+        next_addr = ex.state.next_addr
+        if isinstance(ins, Create):
+            target = ins.name
+            values[target] = next_addr
+            next_addr += 1
+        elif isinstance(ins, Forget):
+            target = ins.name
+            values.pop(target, None)
+        else:
+            target, source = ins.target[0], ins.source[0]
+            if source in values:
+                values[target] = values[source]
+            else:
+                values.pop(target, None)
+        return Execution(ReferenceState(tuple(sorted(values.items())), next_addr),
+                         ex.assigned | {target}, ex.cut_violations, ex.trail)
+
+    def run_loop(self, execs, body):
+        seen = _exec_set(_mark(ex, "loop") for ex in execs.values())
+        frontier = dict(seen)
+        for _ in range(self.unroll):
+            frontier = self.run_body(frontier, body)
+            fresh = {k: ex for k, ex in frontier.items() if k not in seen}
+            if not fresh:
+                return seen
+            seen.update(fresh)
+            seen = self._clamp(seen)
+            frontier = fresh
+        if any(k not in seen for k in self.run_body(frontier, body)):
+            self.bounded = True
+        return seen
+
+
+def reference_run_program(program, bounds=ExecBounds(), unroll=4):
+    ensure_base_tier(program)
+    interp = ReferenceInterpreter(bounds, unroll)
+    names = sorted(program_variables(program))
+    start = Execution(ReferenceState(tuple((v, i) for i, v in enumerate(names)), len(names)))
+    final = interp.run_body(_exec_set([start]), program.procedure(program.main).body)
+    return RunResult(list(final.values()), interp.bounded or interp.truncated, interp.truncated)
+
+
+def problem_lines(report):
+    """The report's problem lines without their witness paths, which may
+    name another run to the same outcome."""
+    lines = report.containment_violations + report.cut_violations + report.modvar_violations
+    return {re.sub(r" \(path: [^)]*\)$", "", line) for line in lines}
+
+
+def test_canonical_states_agree_with_the_allocation_numbered_reference(monkeypatch):
+    # Where the reference explored a program exactly, canonical states find
+    # the same aliases and the same problems; where it stopped at its
+    # unrolling bound, they find at least what it found.
+    rng = Random(1)
+    programs = [random_program(rng) for _ in range(3000)]
+    runs = [run_program(prog) for prog in programs]
+    reports = [check_soundness(prog) for prog in programs]
+    monkeypatch.setattr(oracle, "run_program", reference_run_program)
+    reference_bounded = 0
+    for prog, run, report in zip(programs, runs, reports):
+        reference = reference_run_program(prog)
+        reference_report = check_soundness(prog)
+        assert not run.bounded
+        assert report.containment_violations == [] and report.modvar_violations == []
+        got = (path_union_aliases(run), problem_lines(report))
+        want = (path_union_aliases(reference), problem_lines(reference_report))
+        if reference.bounded:
+            reference_bounded += 1
+            assert got[0] >= want[0] and got[1] >= want[1]
+        else:
+            assert got == want
+    assert reference_bounded == 339

@@ -24,7 +24,7 @@ from aliascalc.lang import (
     pretty,
 )
 from aliascalc.modvars import modified_vars
-from aliascalc.oracle import ExecBounds, check_soundness, path_union_aliases, run_program
+from aliascalc.oracle import check_soundness, path_union_aliases, run_program
 from aliascalc.paths import normalize, parse_path, render, var
 from aliascalc.randprog import ALL_FORMS, STRAIGHT_LINE, random_program
 from aliascalc.relations import (
@@ -194,11 +194,10 @@ def render_failure(prog, rep):
 
 
 def test_soundness_500():
-    bounds = ExecBounds(loop_unroll=4)
     checked = 0
     exact_checked = 0
     for prog in corpus(500):
-        rep = check_soundness(prog, bounds)
+        rep = check_soundness(prog)
         assert rep.containment_violations == [], render_failure(prog, rep)
         assert rep.modvar_violations == [], render_failure(prog, rep)
         checked += 1
@@ -206,7 +205,7 @@ def test_soundness_500():
         # forgotten variable and no cut assumption failed (both pinned as
         # counterexamples below).
         if is_loop_free(prog) and is_forget_free(prog) and not rep.cut_violations:
-            run = run_program(prog, bounds)
+            run = run_program(prog)
             assert not run.truncated
             assert path_union_aliases(run) == rep.computed, render_failure(prog, rep)
             exact_checked += 1
@@ -242,7 +241,7 @@ def test_modvars_hold_on_every_path_500():
     # this is the modvar half of the 500-program suite, kept separate so a
     # failure names the weaker law.
     for prog in corpus(500, seed=SEED + 1):
-        rep = check_soundness(prog, ExecBounds(loop_unroll=3))
+        rep = check_soundness(prog)
         assert rep.modvar_violations == [], render_failure(prog, rep)
 
 

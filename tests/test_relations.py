@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +156,42 @@ def test_quotient_includes_dot_completions():
     # y ~ z makes y.a an alias of z.a even though no pair stores it.
     a = from_pairs([(var("y"), var("z"))])
     assert parse_path("z.a") in quotient(a, parse_path("y.a"), max_dots=3)
+
+
+def python_calls(fn, *args):
+    """fn(*args) and the number of Python-level function calls it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_quotient_without_partners_of_a_proper_sub_path_visits_no_split(monkeypatch):
+    # Counted, not timed: when no proper sub-path of the source has a
+    # stored partner, no split is visited and no candidate concatenation
+    # built.  Visiting every split of every sub-path of a 256-segment path
+    # took a third of a second and 130,054 Python calls.
+    def no_concat(*args):
+        raise AssertionError("concat called")
+
+    monkeypatch.setattr(rel, "concat", no_concat)
+    long = parse_path("x" + ".a" * 255)
+    assert len(long) == 256
+    got, calls = python_calls(quotient, EMPTY, long, 3)
+    assert got == frozenset([long])
+    assert calls < 10
+    a = from_pairs([(long, var("u")), (long, parse_path("v.b")), (var("u"), var("w"))])
+    got, calls = python_calls(quotient, a, long, 3)
+    assert got == frozenset([long, var("u"), parse_path("v.b")])
+    assert calls < 10
 
 
 def test_aliased():
