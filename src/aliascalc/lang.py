@@ -22,24 +22,26 @@ A bare statement list is wrapped in an implicit argumentless ``Main``.  The
 conditional has no condition: either branch may execute, which is all the
 analysis can use anyway.
 
-The front end is one scanner and one parser.  ``tokenize`` finds every
-token in one regex ``findall``, each match carrying the blanks and the
-comment before its token, and works out the tokens' character offsets
-from the match lengths.  ``Parser`` reads the token texts by index and
-dispatches each statement on its first word through one keyword table.
-Line and column are worked out only where they are kept or reported:
-for procedures, calls and errors.
+The front end is one scanner and one parser.  ``tokenize`` finds the
+token texts and the comments in one regex ``findall`` and checks, by
+counting, that they tile the text with its blanks; tokens carry no
+offsets.  ``Parser`` reads the token texts by index and dispatches each
+statement on its first word through one keyword table.  A position is
+worked out only when it is read: ``Positions`` finds every token's offset
+on its first lookup, which an error makes at once and a procedure or call
+makes when its ``pos`` is first read, so a valid program is parsed
+without computing one offset.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import accumulate, chain, compress
+from functools import partial
 from operator import attrgetter
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple, TypeVar,
-    Union,
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    TypeVar, Union,
 )
 
 from .paths import CURRENT, Path, dot_count, render, var
@@ -187,23 +189,40 @@ class Repeat(Record):
         object.__setattr__(self, "body", body)
 
 
+SourcePos = Tuple[int, int]
+
+
+def _read_pos(record) -> SourcePos:
+    """A call's or procedure's ``pos``: the (line, col) it was built with
+    or, when it was built with a lookup instead, what the lookup returns,
+    worked out on the first read and kept."""
+    pos = record._pos
+    if type(pos) is not tuple:
+        pos = pos()
+        object.__setattr__(record, "_pos", pos)
+    return pos
+
+
 class Call(Record):
     """``call r (args)`` or ``call x.r (args)``.
 
     ``qualifier`` is the path before the procedure name — empty for an
     unqualified call.  ``pos`` carries the source position for diagnostics
-    and does not participate in equality.
+    and does not participate in equality; the parser gives a deferred
+    lookup for it.
     """
 
-    __slots__ = ("qualifier", "proc", "args", "pos")
+    __slots__ = ("qualifier", "proc", "args", "_pos")
     _compared = ("qualifier", "proc", "args")
 
     def __init__(self, qualifier: Path, proc: str, args: Tuple[Path, ...] = (),
-                 pos: Tuple[int, int] = (0, 0)):
+                 pos: Union[SourcePos, Callable[[], SourcePos]] = (0, 0)):
         object.__setattr__(self, "qualifier", qualifier)
         object.__setattr__(self, "proc", proc)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "_pos", pos)
+
+    pos = property(_read_pos)
 
 
 Instruction = Union[Skip, Create, Forget, Cut, Assign, Cond, Loop, Repeat, Call]
@@ -212,17 +231,19 @@ Instruction = Union[Skip, Create, Forget, Cut, Assign, Cond, Loop, Repeat, Call]
 class Procedure(Record):
     """A procedure declaration.  ``pos`` is the position of its
     ``procedure`` keyword, for diagnostics, and does not participate in
-    equality."""
+    equality; like a call's, it may be built as a deferred lookup."""
 
-    __slots__ = ("name", "formals", "body", "pos")
+    __slots__ = ("name", "formals", "body", "_pos")
     _compared = ("name", "formals", "body")
 
     def __init__(self, name: str, formals: Tuple[str, ...], body: Tuple[Instruction, ...],
-                 pos: Tuple[int, int] = (0, 0)):
+                 pos: Union[SourcePos, Callable[[], SourcePos]] = (0, 0)):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "formals", formals)
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "_pos", pos)
+
+    pos = property(_read_pos)
 
 
 class ProgramFacts(NamedTuple):
@@ -338,65 +359,77 @@ def iterate(step: Callable[[State], State], state: State, count: int,
 # Scanner
 # ---------------------------------------------------------------------------
 
-# One match per token: group 1 is the blanks and the comment before it,
-# group 2 the token itself.  A comment runs to its line's end, where a
-# newline token or the end of the text always follows, so the match never
-# gives back part of a comment for its tail to lex as tokens.  The end of
-# the text matches as the empty EOF token, so a trailing comment is the
-# EOF's leading text.  No match starts just after a blank (a match takes
-# its blanks whole), so when a character no token matches follows a run
-# of blanks, the search rejects each later start in the run at once
-# instead of re-reading the rest of the run from it, which would take time
-# quadratic in the run's length.
-_SCAN_RE = re.compile(
-    r"(?<![ \t\r])([ \t\r]*(?:--[^\n]*)?)"
-    r"([\n;]|:=|[A-Za-z][A-Za-z0-9_]*|[0-9]+|[.,()]|\Z)"
-)
+# Every token, and every comment, as one match with no groups, so
+# ``findall`` returns the texts themselves.  The alternatives start with
+# distinct characters, so their order changes no match; the most frequent
+# come first.  A search skips blanks, and also any character no
+# alternative starts with, which is why ``tokenize`` checks that the
+# matches and the blanks tile the text.
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\n|:=|[;.,()]|[0-9]+|--[^\n]*")
 _BLANKS_RE = re.compile(r"[ \t\r]*")
 
 
-class Tokens(list):
-    """The token texts in source order, ending in the EOF token ``""``.
-    ``starts[i]`` is the character offset of token i and ``newlines`` the
-    offsets of the newline tokens.  A token's kind is read off its text:
-    a keyword or a NAME (``str.isidentifier``), a NUMBER
-    (``str.isdigit``), or one of ``:= . , ( ) ; \\n``."""
-
-    __slots__ = ("starts", "newlines")
-
-    def position(self, i: int) -> Tuple[int, int]:
-        """Line and column of token i, both from 1."""
-        offset = self.starts[i]
-        newlines = self.newlines
-        before = bisect_left(newlines, offset)
-        return before + 1, offset - (newlines[before - 1] if before else -1)
+def _blanks(text: str) -> int:
+    return text.count(" ") + text.count("\t") + text.count("\r")
 
 
-def tokenize(text: str) -> Tokens:
-    """The tokens of text, from one ``findall``.  The matches tile the
-    text exactly when their lengths add up to its length; otherwise the
-    first character no token covers is reported at its position."""
-    found = _SCAN_RE.findall(text)
-    if len(found) > 1 and not found[-2][1]:
-        # After a trailing comment the search matches the end a second time.
-        del found[-1]
-    pieces = list(chain.from_iterable(found))
-    ends = list(accumulate(map(len, pieces)))
-    if ends[-1] != len(text):
+def tokenize(text: str) -> List[str]:
+    """The token texts of text in source order, ending in the EOF token
+    ``""``, from one ``findall``.  A token's kind is read off its text: a
+    keyword or a NAME (``str.isidentifier``), a NUMBER (``str.isdigit``),
+    or one of ``:= . , ( ) ; \\n``.  The tokens and comments tile the text
+    with its blanks exactly when their lengths and the blanks outside
+    comments add up to its length; otherwise the first character nothing
+    covers is reported at its position.  Tokens carry no offsets: see
+    ``Positions``."""
+    found = _TOKEN_RE.findall(text)
+    covered = len("".join(found)) + _blanks(text)
+    if "--" in text:
+        covered -= _blanks("".join(tok for tok in found if tok[0] == "-"))
+        found = [tok for tok in found if tok[0] != "-"]
+    if covered != len(text):
         offset = 0
-        for m in _SCAN_RE.finditer(text):
-            if m.start() != offset:
+        for m in _TOKEN_RE.finditer(text):
+            offset = _BLANKS_RE.match(text, offset).end()
+            if offset != m.start():
                 break
             offset = m.end()
-        offset = _BLANKS_RE.match(text, offset).end()
+        else:
+            offset = _BLANKS_RE.match(text, offset).end()
         line = text.count("\n", 0, offset) + 1
         raise SourceError(f"unexpected character {text[offset]!r}",
                           line, offset - text.rfind("\n", 0, offset))
-    tokens = Tokens(pieces[1::2])
-    tokens.starts = ends[0::2]
-    # Every newline in the text is a token: blanks and comments hold none.
-    tokens.newlines = list(compress(tokens.starts, map("\n".__eq__, tokens)))
-    return tokens
+    found.append("")
+    return found
+
+
+class Positions:
+    """Line and column, both from 1, of each token of a text that
+    ``tokenize`` accepts, by the token's index there.  The tokens' offsets
+    are worked out on the first lookup, by a second search with the same
+    pattern, so a text whose positions are never read never pays for
+    them."""
+
+    __slots__ = ("text", "starts", "newlines")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: Optional[List[int]] = None
+        self.newlines: List[int] = []
+
+    def __call__(self, i: int) -> Tuple[int, int]:
+        starts = self.starts
+        if starts is None:
+            text = self.text
+            starts = [m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "-"]
+            # Every newline in the text is a token: blanks and comments hold none.
+            self.newlines = [offset for offset in starts if text[offset] == "\n"]
+            starts.append(len(text))
+            self.starts = starts
+        offset = starts[i]
+        newlines = self.newlines
+        before = bisect_left(newlines, offset)
+        return before + 1, offset - (newlines[before - 1] if before else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +443,19 @@ _NOT_PATH = KEYWORDS - {"Current"}
 
 
 class Parser:
-    """Recursive descent over the token texts.  Each rule takes the index
-    of its first token and returns what it read with the index after it;
-    positions are looked up only for procedures, calls and errors."""
+    """Recursive descent over the token texts of a text.  Each rule takes
+    the index of its first token and returns what it read with the index
+    after it.  Only an error looks a position up; a procedure or call
+    keeps a deferred lookup of its keyword's."""
 
-    def __init__(self, tokens: Tokens, level: str):
-        self.tokens = tokens
-        self.toks: List[str] = tokens[:]  # a plain list indexes fastest
+    def __init__(self, text: str, level: str):
+        self.toks = tokenize(text)
+        self.position = Positions(text)
         self.level = level
         self.depth = 0  # then/loop/iterate blocks open at the current token
 
     def error(self, message: str, i: int) -> SourceError:
-        return SourceError(message, *self.tokens.position(i))
+        return SourceError(message, *self.position(i))
 
     def expected(self, what: str, i: int) -> SourceError:
         found = self.toks[i] or "end of input"
@@ -548,7 +582,7 @@ class Parser:
                 raise self.expected("')' after call arguments", j)
             j += 1
             args = tuple(arg_list)
-        return Call(target[:-1], target[-1], args, pos=self.tokens.position(i)), j
+        return Call(target[:-1], target[-1], args, pos=partial(self.position, i)), j
 
     def block(self, i: int) -> Tuple[Instruction, int]:
         """A then, loop or iterate block, from its keyword to its 'end'."""
@@ -601,7 +635,7 @@ class Parser:
         if len(set(formals)) != len(formals):
             raise self.error(f"duplicate formal argument in {name!r}", i + 1)
         body, j = self.statements(_END, j)
-        proc = Procedure(name, tuple(formals), body, pos=self.tokens.position(i))
+        proc = Procedure(name, tuple(formals), body, pos=partial(self.position, i))
         return proc, self.keyword("end", j)
 
     def program(self) -> Program:
@@ -643,7 +677,7 @@ def parse(text: str, level: str = "e2") -> Program:
     """Parse and validate source text at the given tier."""
     if level not in LEVELS:
         raise SourceError(f"unknown level {level!r}; expected one of {LEVELS}")
-    return Parser(tokenize(text), level).program()
+    return Parser(text, level).program()
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ KINDS = {"": "EOF", "\n": "SEP", ";": "SEP", ":=": "ASSIGN", ".": "DOT", ",": "C
 def scanned(text):
     """tokenize's result as the reference's (kind, text, line, col) tuples."""
     tokens = tokenize(text)
+    position = lang.Positions(text)
     return [(KINDS.get(tok) or ("NUMBER" if tok.isdigit() else "NAME"), tok,
-             *tokens.position(i)) for i, tok in enumerate(tokens)]
+             *position(i)) for i, tok in enumerate(tokens)]
 
 
 def test_tokenize_positions():
@@ -160,14 +161,26 @@ def test_tokenize_reports_the_first_bad_character(text, where):
     assert got[1:] == where
 
 
-def test_a_long_blank_run_before_a_bad_character_is_scanned_once():
+@pytest.mark.parametrize("text, where", [
+    pytest.param("x" + " " * 10_000 + "$", (1, 10_002), id="blank-run"),
+    pytest.param("x" * 10_000 + "$", (1, 10_001), id="long-identifier"),
+    pytest.param("x " * 5000 + "$", (1, 10_001), id="names-and-blanks"),
+    pytest.param("x := y.a\n" * 20_000, None, id="valid-20000-lines"),
+])
+def test_a_long_blank_run_before_a_bad_character_is_scanned_once(text, where):
     # A search that re-read the blanks from each of their positions would
-    # take seconds here (quadratic in the run); the scan takes milliseconds.
-    text = "x" + " " * 10_000 + "$"
+    # take seconds on the first text (quadratic in the run), and a pattern
+    # that checked the tiling by backtracking over the tokens would take
+    # time exponential in the identifier's length on the second; counting
+    # and the one locating scan take milliseconds, and a long valid text
+    # tokenizes in well under the bound.
     start = time.perf_counter()
-    with pytest.raises(SourceError) as err:
-        tokenize(text)
-    assert (err.value.line, err.value.col) == (1, 10_002)
+    if where is None:
+        assert len(tokenize(text)) == 6 * 20_000 + 1
+    else:
+        with pytest.raises(SourceError) as err:
+            tokenize(text)
+        assert (err.value.line, err.value.col) == where
     assert time.perf_counter() - start < 1
 
 
@@ -197,7 +210,7 @@ def test_tokenize_folds_blanks_and_comments_into_the_next_token(text, tokens):
 ])
 def test_end_of_input_position_after_a_trailing_comment(text, where):
     tokens = tokenize(text)
-    assert tokens.position(len(tokens) - 1) == where
+    assert lang.Positions(text)(len(tokens) - 1) == where
     assert reference_tokenize(text)[-1][2:] == where
 
 
@@ -213,26 +226,48 @@ def test_errors_at_the_end_of_input_point_past_the_trailing_text(text, message, 
     assert (err.value.message, (err.value.line, err.value.col)) == (message, where)
 
 
-def generated_texts():
+def generated_programs():
+    """30 bench/gen.py programs, each with the level it parses at."""
     gen = load_gen()
     for seed in range(30):
         rng = random.Random(seed)
         if seed % 3 == 0:
-            yield gen.interproc_program(rng, "e1", 12)
+            yield gen.interproc_program(rng, "e1", 12), "e1"
         elif seed % 3 == 1:
-            yield gen.interproc_program(rng, "e2", 6)
+            yield gen.interproc_program(rng, "e2", 6), "e2"
         else:
-            yield gen.recursive_program(rng, 8)
+            yield gen.recursive_program(rng, 8), "e2"
 
 
 def test_token_count_for_the_tracer():
     # bench/tracer.py counts len(tokenize(text)) - 1 tokens per parse:
     # the list holds one entry per token and exactly one EOF, last.
     texts = [read_program(name) for name in sorted(os.listdir(os.path.join(ROOT, "programs")))]
-    for text in texts + list(generated_texts()):
+    for text in texts + [text for text, _ in generated_programs()]:
         tokens = tokenize(text)
         assert len(tokens) - 1 == len(reference_tokenize(text)) - 1
         assert tokens.count("") == 1 and tokens[-1] == ""
+
+
+MID_LINE_CALL = "procedure Main\n  x := y ; call p (x, y)\nend\nprocedure p (a, b)\nend\n"
+
+
+def test_positions_are_worked_out_only_when_read():
+    fixtures = [(read_program(name), name[-2:])
+                for name in sorted(os.listdir(os.path.join(ROOT, "programs")))]
+    for text, level in fixtures + list(generated_programs()) + [(MID_LINE_CALL, "e1")]:
+        parser = lang.Parser(text, level)
+        prog = parser.program()
+        assert parser.position.starts is None, text
+        keywords = {"call": [], "procedure": []}
+        for _, tok, line, col in reference_tokenize(text):
+            if tok in keywords:
+                keywords[tok].append((line, col))
+        calls = [ins for ins in instructions_of(prog) if isinstance(ins, Call)]
+        assert [ins.pos for ins in calls] == keywords["call"]
+        assert [proc.pos for proc in prog.procedures] == (keywords["procedure"] or [(0, 0)])
+        assert (parser.position.starts is None) == (not calls and not keywords["procedure"])
+    assert [ins.pos for ins in calls] == [(2, 12)]
 
 
 def test_parse_looks_tokenize_up_on_the_module(monkeypatch):
