@@ -50,22 +50,20 @@ entry are kept: contexts created from intermediate values of the fixpoint
 are dropped, so neither the trace nor the per-procedure exits see them.
 
 A re-run body mostly meets the relations it met before, so each analysis
-memoizes the transfers that do not read the summary table, keyed by
-(instruction, input relation): atomic instructions, compound instructions
-whose bodies contain no call, and the two table-free halves of a call (the
-formal binding and view shift on entry, the shift back and cleaning on
-exit).  A qualified call's entry is keyed by its visible part, so caller
-contexts that differ only in carried pairs share one entry and one summary
-key.  A call is never memoized as a whole: its summary lookup must run
-every time, because that lookup is how the worklist learns which keys
-depend on which.
+memoizes its substitutions, keyed by (instruction, input relation): an
+assignment's, and a call's two table-free halves (the formal binding and
+view shift on entry, the shift back and cleaning on exit).  A qualified
+call's entry is keyed by its visible part, so caller contexts that differ
+only in carried pairs share one entry and one summary key.  Every other
+rule is cheap and runs each time; a call's summary lookup must, because
+that lookup is how the worklist learns which keys depend on which.
 
 What an analysis reads off the program itself — its expressions and their
-dot depth, which compound instructions contain no call, and each
-procedure's nesting cost — depends on neither mode nor budget, so one walk
-reads it when the ``Program`` is built (``Program.facts``), and every
-analysis of it, as the may and must runs of one job, shares it.  Only the
-budget and the must seed, which depend on both, are set up per analysis.
+dot depth, and each procedure's nesting cost — depends on neither mode nor
+budget, so one walk reads it when the ``Program`` is built
+(``Program.facts``), and every analysis of it, as the may and must runs of
+one job, shares it.  Only the budget and the must seed, which depend on
+both, are set up per analysis.
 """
 
 from __future__ import annotations
@@ -83,6 +81,7 @@ from .lang import (
     Forget,
     Instruction,
     Loop,
+    MAIN,
     MAX_NESTING,
     Procedure,
     Program,
@@ -156,16 +155,13 @@ class Analysis:
     ``evaluating`` is the key whose body is running, the innermost one when
     evaluations nest.
 
-    ``memo`` maps (instruction id, input relation) to the output of every
-    transfer that does not read the table, so it stays valid while the
-    table changes and is shared by all keys and loop passes; it lives as
-    long as this object.  Instructions are keyed by identity, which holds
-    for the program's own and for any body the caller keeps alive while it
-    uses the analysis.  Calls are not memoized as a whole (only their
-    table-free halves), nor are compound instructions containing one:
-    ``summary`` must see every lookup to record the worklist's edges.
-    Which compound instructions contain no call, and the nesting cost of
-    each procedure, are read from ``program.facts``.
+    ``memo`` maps (instruction id, input relation) to an assignment's
+    substitution or a call's entry or exit half.  None reads the table, so
+    the memo stays valid while the table changes and is shared by all keys
+    and loop passes; it lives as long as this object.  Instructions are
+    keyed by identity, which holds for the program's own and for any body
+    the caller keeps alive while it uses the analysis.  The nesting cost of
+    each procedure is read from ``program.facts``.
     """
 
     def __init__(self, program: Program, config: AnalysisConfig = AnalysisConfig(),
@@ -186,7 +182,6 @@ class Analysis:
         self.depth = 0
         facts = program.facts
         self._cost = facts.costs
-        self._call_free = facts.call_free
         self.memo: Dict[Tuple[object, ...], Relation] = {}
         if config.mode == "may":
             self._seed = rel.EMPTY
@@ -206,16 +201,6 @@ class Analysis:
 
     # -- transfer ------------------------------------------------------------
 
-    def transfer(self, a: Relation, ins: Instruction) -> Relation:
-        kind = type(ins)
-        if kind is Call or (kind in _BLOCKS and id(ins) not in self._call_free):
-            return _RULES[kind](self, a, ins)
-        key = (id(ins), a)
-        out = self.memo.get(key)
-        if out is None:
-            out = self.memo[key] = _RULES[kind](self, a, ins)
-        return out
-
     # The transfer rule of each instruction type; ``_RULES`` maps the type
     # to its rule.
 
@@ -229,7 +214,11 @@ class Analysis:
         return rel.cut_pair(a, ins.left, ins.right)
 
     def _assign(self, a: Relation, ins: Assign) -> Relation:
-        return rel.subst(a, ins.target, ins.source, self.max_dots)
+        key = (id(ins), a)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = rel.subst(a, ins.target, ins.source, self.max_dots)
+        return out
 
     def _cond(self, a: Relation, ins: Cond) -> Relation:
         return self.combine(
@@ -259,7 +248,7 @@ class Analysis:
             if record is not None and type(ins) is Loop:
                 out = self.loop_fixpoint(out, ins.body, record)
             else:
-                out = self.transfer(out, ins)
+                out = _RULES[type(ins)](self, out, ins)
             if record is not None:
                 record(one_line(ins), out)
         return out
@@ -405,10 +394,8 @@ class Analysis:
         lookups of each key's last evaluation.  ``rounds`` is the most
         evaluations of any single key: 1 when no exit is ever revised, as
         in every program without recursion."""
-        main = self.program.procedure(self.program.main)
-        entry = rel.bound_filter(self.init, self.max_dots)
-        root = (main.name, entry)
-        self.summary(main, entry)  # creates and queues the root key
+        root = (MAIN, rel.bound_filter(self.init, self.max_dots))
+        self.summary(self.program.procedure(MAIN), root[1])  # creates and queues the root key
         while self.queue:
             self.evaluate(self.queue.popleft())
         self.rounds = max(self.evaluations.values())
@@ -464,9 +451,6 @@ _RULES: Dict[type, Callable[[Analysis, Relation, Instruction], Relation]] = {
     Repeat: Analysis._repeat,
     Call: Analysis._call,
 }
-# Compound instructions: memoized only when they contain no call (a call is
-# never memoized as a whole).
-_BLOCKS = frozenset((Cond, Loop, Repeat))
 
 
 def analyze(

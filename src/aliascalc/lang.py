@@ -247,41 +247,38 @@ class Procedure(Record):
 
 
 class ProgramFacts(NamedTuple):
-    """What the analyses read off a program, none of it depending on the
-    analysis mode or the dot budget."""
+    """What the analyses and the validator read off a program, none of it
+    depending on the analysis mode or the dot budget."""
 
     expressions: FrozenSet[Path]  # every path written in the program, plus Current
     max_dots: int  # the most dots in one of them
-    call_free: FrozenSet[int]  # ids of the compound instructions containing no call
     costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
     calls: Tuple["Call", ...]  # every call, in source order
 
 
+MAIN = "Main"  # the procedure a program runs
+
+
 class Program(Record):
     """A parsed program.  ``facts`` is read off the procedures when the
-    program is built, so every analysis of one program shares one copy;
-    the instruction ids in it stay valid as long as the program lives."""
+    program is built, so every analysis of one program shares one copy."""
 
-    __slots__ = ("procedures", "main", "level", "_by_name", "facts")
-    _compared = ("procedures", "main", "level")
+    __slots__ = ("procedures", "level", "_by_name", "facts")
+    _compared = ("procedures", "level")
 
-    def __init__(self, procedures: Tuple[Procedure, ...], main: str = "Main",
-                 level: str = "e2"):
+    def __init__(self, procedures: Tuple[Procedure, ...], level: str = "e2"):
         object.__setattr__(self, "procedures", procedures)
-        object.__setattr__(self, "main", main)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "_by_name", {p.name: p for p in procedures})
         expressions: Set[Path] = {CURRENT}
-        call_free: Set[int] = set()
         costs: Dict[str, int] = {}
         calls: List[Call] = []
         for proc in procedures:
             expressions.update(var(f) for f in proc.formals)
-            costs[proc.name] = 1 + _scan(proc.body, expressions, call_free, calls)[1]
+            costs[proc.name] = 1 + _scan(proc.body, expressions, calls)
         object.__setattr__(self, "facts", ProgramFacts(
             expressions=frozenset(expressions),
             max_dots=max(dot_count(e) for e in expressions),
-            call_free=frozenset(call_free),
             costs=costs,
             calls=tuple(calls),
         ))
@@ -293,13 +290,10 @@ class Program(Record):
             raise SourceError(f"undefined procedure {name!r}") from None
 
 
-def _scan(body: Sequence[Instruction], expressions: Set[Path],
-          call_free: Set[int], calls: List[Call]) -> Tuple[bool, int]:
-    """Add body's paths to expressions, the ids of its compound
-    instructions that contain no call, at any depth, to call_free and its
-    calls, in source order, to calls; return whether body contains no call
-    and its deepest block nesting."""
-    free, deepest = True, 0
+def _scan(body: Sequence[Instruction], expressions: Set[Path], calls: List[Call]) -> int:
+    """Add body's paths to expressions and its calls, in source order, to
+    calls; return its deepest block nesting."""
+    deepest = 0
     for ins in body:
         if isinstance(ins, Assign):
             expressions.add(ins.target)
@@ -310,23 +304,14 @@ def _scan(body: Sequence[Instruction], expressions: Set[Path],
             expressions.add(ins.left)
             expressions.add(ins.right)
         elif isinstance(ins, Call):
-            free = False
             calls.append(ins)
             if ins.qualifier:
                 expressions.add(ins.qualifier)
             expressions.update(ins.args)
-        elif isinstance(ins, (Cond, Loop, Repeat)):
-            blocks = (ins.then_branch, ins.else_branch) if isinstance(ins, Cond) else (ins.body,)
-            inner_free = True
-            for block in blocks:
-                block_free, depth = _scan(block, expressions, call_free, calls)
-                inner_free = inner_free and block_free
-                deepest = max(deepest, 1 + depth)
-            if inner_free:
-                call_free.add(id(ins))
-            else:
-                free = False
-    return free, deepest
+        else:
+            for _, block in _blocks(ins):
+                deepest = max(deepest, 1 + _scan(block, expressions, calls))
+    return deepest
 
 
 State = TypeVar("State")
@@ -656,10 +641,10 @@ class Parser:
                     raise self.error("top-level statements cannot be mixed with procedures", i)
                 proc, i = self.procedure(i)
                 procs.append(proc)
-            prog = Program(tuple(procs), main="Main", level=level)
+            prog = Program(tuple(procs), level=level)
         else:
             body, _ = self.statements(frozenset(), i)
-            prog = Program((Procedure("Main", (), body),), main="Main", level=level)
+            prog = Program((Procedure(MAIN, (), body),), level=level)
         validate(prog)
         return prog
 
@@ -687,11 +672,8 @@ def parse(text: str, level: str = "e2") -> Program:
 def _walk(body: Sequence[Instruction]) -> Iterator[Instruction]:
     for ins in body:
         yield ins
-        if isinstance(ins, Cond):
-            yield from _walk(ins.then_branch)
-            yield from _walk(ins.else_branch)
-        elif isinstance(ins, (Loop, Repeat)):
-            yield from _walk(ins.body)
+        for _, block in _blocks(ins):
+            yield from _walk(block)
 
 
 def instructions_of(prog: Program) -> Iterator[Instruction]:
@@ -710,12 +692,12 @@ def validate(prog: Program) -> None:
         if proc.name in seen:
             raise SourceError(f"procedure {proc.name!r} is defined more than once", *proc.pos)
         seen.add(proc.name)
-    if prog.main not in seen:
+    if MAIN not in seen:
         first = prog.procedures[0].pos if prog.procedures else (0, 0)
-        raise SourceError(f"no procedure named {prog.main!r}", *first)
-    main = prog.procedure(prog.main)
+        raise SourceError(f"no procedure named {MAIN!r}", *first)
+    main = prog.procedure(MAIN)
     if main.formals:
-        raise SourceError(f"{prog.main!r} must not take arguments", *main.pos)
+        raise SourceError(f"{MAIN!r} must not take arguments", *main.pos)
     for ins in prog.facts.calls:
         try:
             callee = prog.procedure(ins.proc)
@@ -786,7 +768,7 @@ def pretty(prog: Program) -> str:
     out: List[str] = []
     implicit_main = (
         len(prog.procedures) == 1
-        and prog.procedures[0].name == prog.main
+        and prog.procedures[0].name == MAIN
         and not prog.procedures[0].formals
         and prog.level == "e0"
     )

@@ -39,6 +39,7 @@ from .lang import (
     Forget,
     Instruction,
     Loop,
+    MAIN,
     Program,
     Record,
     Repeat,
@@ -248,7 +249,7 @@ def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResul
     ensure_base_tier(program)
     interp = Interpreter(bounds)
     start = Execution(initial_state(program_variables(program)))
-    final = interp.run_body(_exec_set([start]), program.procedure(program.main).body)
+    final = interp.run_body(_exec_set([start]), program.procedure(MAIN).body)
     return RunResult(
         executions=list(final.values()),
         bounded=interp.truncated,
@@ -282,6 +283,7 @@ class SoundnessReport:
         self.cut_violations = [] if cut_violations is None else cut_violations
         self.modvar_violations = [] if modvar_violations is None else modvar_violations
         self.computed = computed
+        self.realised: Relation = rel.EMPTY  # every alias of a run whose cuts held
 
     @property
     def violation_count(self) -> int:
@@ -325,7 +327,7 @@ def check_soundness(program: Program, bounds: ExecBounds = ExecBounds()) -> Soun
         paths=len(run.executions), bounded=run.bounded, computed=computed
     )
     guaranteed = sorted(
-        p[0] for p in modified_vars(program, analysis.max_dots)[program.main] if len(p) == 1
+        p[0] for p in modified_vars(program, analysis.max_dots)[MAIN] if len(p) == 1
     )
     seen_cut: set = set()
     for ex in run.executions:
@@ -336,7 +338,9 @@ def check_soundness(program: Program, bounds: ExecBounds = ExecBounds()) -> Soun
                     f"cut assumption violated: {desc} (path: {_trail_text(ex)})"
                 )
         if not ex.cut_violations:
-            missing = aliases_of(ex.state) - computed
+            realised = aliases_of(ex.state)
+            report.realised |= realised
+            missing = realised - computed
             for e, f in sorted(missing, key=lambda p: (render(p[0]), render(p[1]))):
                 report.containment_violations.append(
                     f"violation: concrete alias [{render(e)}, {render(f)}] "

@@ -20,6 +20,7 @@ from .lang import (
     Forget,
     Instruction,
     Loop,
+    MAIN,
     Procedure,
     Program,
     Repeat,
@@ -58,7 +59,7 @@ def random_program(
     names = [chr(ord("a") + i) for i in range(max_vars)]
     count = rng.randint(1, max_instructions)
     body = _body(rng, names, count, allow, depth)
-    main = Procedure(name="Main", formals=(), body=tuple(body))
+    main = Procedure(name=MAIN, formals=(), body=tuple(body))
     return Program(procedures=(main,), level="e0")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -19,7 +20,8 @@ from aliascalc.engine import (
     resolve_max_dots,
 )
 from aliascalc.lang import (
-    Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, parse, pretty,
+    MAIN, Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, instructions_of, parse,
+    pretty,
 )
 from aliascalc.paths import concat, has_negation, negation, parse_path, var
 from aliascalc.randprog import random_program
@@ -215,7 +217,7 @@ class RoundRobin(Analysis):
     exit and creates no key.  Returns Main's relation."""
 
     def run(self):
-        main = self.program.procedure(self.program.main)
+        main = self.program.procedure(MAIN)
         root = (main.name, rel.bound_filter(self.init, self.max_dots))
         self.summary(main, root[1])
         for _ in range(MAX_ROUNDS):
@@ -542,6 +544,19 @@ def test_memo_agrees_with_direct_transfers_on_random_programs():
         assert outcome(Analysis(prog, config, init), trace) == want
 
 
+def test_memo_holds_only_assignments_and_calls():
+    # Only substitutions are memoized: an assignment's, and a call's entry
+    # and exit halves.  Every other rule runs each time.
+    kinds = set()
+    for name in FIXTURES:
+        for mode in ("may", "must"):
+            analysis = fixture_analysis(name, mode)
+            analysis.run()
+            by_id = {id(ins): ins for ins in instructions_of(analysis.program)}
+            kinds.update(type(by_id[key[0]]) for key in analysis.memo)
+    assert kinds == {Assign, Call}
+
+
 def counted_calls(monkeypatch, attr, analysis):
     calls = [0]
     original = getattr(rel, attr)
@@ -799,11 +814,30 @@ def test_formal_copy_keeps_a_deep_partner_of_the_actual():
     assert make_pair(parse_path("a.b"), parse_path("d.right.right.right")) in out
 
 
+# (mode, dot budget): summary keys, result pairs and the first 16 hex digits
+# of the sha256 of the rendered result.
+WORST_CASE = {
+    ("may", 2): (25, 19, "1953da2124bd8651"),
+    ("may", 3): (41, 33, "877a62c0c5bf63a5"),
+    ("may", 4): (61, 61, "c51754cd4d56c940"),
+    ("must", 2): (8, 1, "33dba74f881adca1"),
+    ("must", 3): (10, 1, "33dba74f881adca1"),
+    ("must", 4): (12, 1, "33dba74f881adca1"),
+}
+
+
 def test_worst_case_keys_and_pairs():
+    # The budget multiplies the work here, so a change to the memo or to a
+    # relation kernel must leave every one of these results byte-identical.
     path = os.path.join(os.path.dirname(PROGRAMS), "bench", "worst_case.e2")
     with open(path, encoding="utf-8") as handle:
-        result = run(handle.read())
-    assert (result.summary_keys, len(result.relation)) == (41, 33)
+        program = parse(handle.read())
+    got = {}
+    for mode, max_dots in WORST_CASE:
+        result = analyze(program, config=AnalysisConfig(mode, max_dots))
+        digest = hashlib.sha256(render_relation(result.relation).encode()).hexdigest()
+        got[mode, max_dots] = (result.summary_keys, len(result.relation), digest[:16])
+    assert got == WORST_CASE
 
 
 # -- kernels and program facts in whole analyses -------------------------------------

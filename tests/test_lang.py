@@ -17,6 +17,7 @@ from aliascalc.lang import (
     Cut,
     Forget,
     Loop,
+    MAIN,
     Procedure,
     Program,
     Repeat,
@@ -33,7 +34,7 @@ from aliascalc.paths import parse_path, var
 
 def body_of(text, level="e2"):
     prog = parse(text, level=level)
-    return prog.procedure(prog.main).body
+    return prog.procedure(MAIN).body
 
 
 # -- scanner --------------------------------------------------------------------
@@ -374,7 +375,7 @@ def test_records_equal_only_records_of_their_own_type():
 def test_record_repr_names_every_compared_field():
     assert repr(Assign(var("x"), var("y"))) == "Assign(target=('x',), source=('y',))"
     assert repr(Skip()) == "Skip()"
-    assert repr(Program((), level="e0")) == "Program(procedures=(), main='Main', level='e0')"
+    assert repr(Program((), level="e0")) == "Program(procedures=(), level='e0')"
 
 
 @pytest.mark.parametrize("record, field", [
@@ -557,7 +558,7 @@ def test_max_dot_count():
     assert parse("x := y.a.b", level="e2").facts.max_dots == 2
 
 
-def test_call_free_blocks_and_nesting_costs():
+def test_nesting_costs():
     prog = parse(
         "procedure Main\n"
         " then loop call q end else iterate 2 x := y end end\n"
@@ -566,12 +567,6 @@ def test_call_free_blocks_and_nesting_costs():
         "procedure q\n skip\nend",
         level="e1",
     )
-    cond, outer_loop = prog.procedure("Main").body
-    (call_loop,) = cond.then_branch
-    (repeat,) = cond.else_branch
-    assert isinstance(call_loop.body[0], Call)
-    # The call two blocks deep makes both blocks around it not call-free.
-    assert prog.facts.call_free == {id(repeat), id(outer_loop)}
     assert prog.facts.costs == {"Main": 3, "q": 1}
 
 

@@ -1,7 +1,7 @@
 from conftest import read_program
 
 from aliascalc.engine import AnalysisConfig, resolve_max_dots
-from aliascalc.lang import parse
+from aliascalc.lang import MAIN, parse
 from aliascalc.modvars import modified_vars
 from aliascalc.paths import render
 from aliascalc.relations import EMPTY
@@ -14,7 +14,7 @@ def sets_of(prog):
 
 def mains(text, level="e2"):
     prog = parse(text, level=level)
-    return {render(p) for p in sets_of(prog)[prog.main]}
+    return {render(p) for p in sets_of(prog)[MAIN]}
 
 
 def test_atoms():

@@ -6,7 +6,7 @@ import pytest
 from conftest import read_program
 
 from aliascalc import oracle
-from aliascalc.lang import Assign, Create, Forget, parse
+from aliascalc.lang import MAIN, Assign, Create, Forget, parse
 from aliascalc.oracle import (
     ConcreteState,
     ExecBounds,
@@ -362,7 +362,7 @@ def reference_run_program(program, bounds=ExecBounds(), unroll=4):
     interp = ReferenceInterpreter(bounds, unroll)
     names = sorted(program_variables(program))
     start = Execution(ReferenceState(tuple((v, i) for i, v in enumerate(names)), len(names)))
-    final = interp.run_body(_exec_set([start]), program.procedure(program.main).body)
+    final = interp.run_body(_exec_set([start]), program.procedure(MAIN).body)
     return RunResult(list(final.values()), interp.bounded or interp.truncated, interp.truncated)
 
 

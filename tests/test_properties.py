@@ -16,6 +16,7 @@ from aliascalc.lang import (
     Cond,
     Forget,
     Loop,
+    MAIN,
     Procedure,
     Program,
     Repeat,
@@ -147,7 +148,7 @@ def test_canonical_vs_brute_force_200():
 def test_loop_fixpoint_bound_and_union_200():
     rng = random.Random(SEED)
     for prog in corpus(200, allow=STRAIGHT_LINE, max_instructions=6):
-        body = prog.procedure(prog.main).body
+        body = prog.procedure(MAIN).body
         a = random_relation(rng)
         universe = elements(a) | {var(v) for v in VARS}
         pair_budget = len(universe) * (len(universe) - 1) // 2

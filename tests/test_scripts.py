@@ -39,3 +39,4 @@ def test_fuzz_soundness_is_clean_and_reproducible():
     assert second.returncode == 0, second.stdout + second.stderr
     assert first.stdout == second.stdout
     assert "30 trials" in first.stdout
+    assert first.stdout.rstrip().endswith(", 53 predicted pairs, 16 realised by no run")
