@@ -257,16 +257,6 @@ def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResul
     )
 
 
-def path_union_aliases(run: RunResult) -> Relation:
-    """Union of the alias relations of all final states, excluding
-    executions whose cut assumptions were violated."""
-    out: Relation = rel.EMPTY
-    for ex in run.executions:
-        if not ex.cut_violations:
-            out = out | aliases_of(ex.state)
-    return out
-
-
 class SoundnessReport:
     def __init__(
         self,

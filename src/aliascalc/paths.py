@@ -8,9 +8,12 @@ a routine are re-expressed relative to the caller.  Negated segments never
 appear in source programs; they only arise internally while transferring a
 relation across a qualified call.
 
-Normalization cancels adjacent inverse segments in either order
-(``x.x'`` and ``x'.x`` both vanish), so prefixing a relation by a call
-target and later by its negation round-trips cleanly.
+A path is a *reduced word*: no segment sits next to its inverse
+(``x.x'`` and ``x'.x`` both cancel), so prefixing a relation by a call
+target and later by its negation round-trips cleanly.  Source paths are
+plain, and negating, splitting and joining keep a path reduced.  Joining
+two reduced words can only bring inverses together where they meet, so
+``concat`` cancels at the junction and nowhere else.
 
 Segment names are identifiers, so the apostrophe occurs only as the
 negation mark at the end of a segment: a path has a negated segment exactly
@@ -19,7 +22,7 @@ when its joined text contains the mark, which is one C-level scan.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 Path = Tuple[str, ...]
 
@@ -35,32 +38,15 @@ def negate_segment(segment: str) -> str:
     return segment + NEG_MARK
 
 
-def normalize(segments: Iterable[str]) -> Path:
-    """Cancel adjacent mutually-inverse segments until none remain.
-
-    The scan uses a stack, so cancellations cascade:
-    ``x.y.y'.x'.z`` normalizes to ``z``.
-    """
-    stack: list[str] = []
-    for seg in segments:
-        # stack[-1] == negate_segment(seg), without building the negation
-        if stack and (
-            stack[-1] + NEG_MARK == seg
-            or stack[-1] == seg + NEG_MARK and not seg.endswith(NEG_MARK)
-        ):
-            stack.pop()
-        else:
-            stack.append(seg)
-    return tuple(stack)
-
-
 def concat(prefix: Path, suffix: Path) -> Path:
-    """Path concatenation followed by normalization.  Nothing can cancel
-    unless some segment is negated, so plain paths are simply joined."""
-    path = prefix + tuple(suffix)
-    if NEG_MARK in "".join(path):
-        return normalize(path)
-    return path
+    """Join two paths, which must both be reduced, into a reduced path.
+    Inverses can then meet only at the junction, and cancelling there
+    cascades outward: ``concat(("a", "b"), ("b'", "a'", "c"))`` is ``("c",)``."""
+    i, j, n = len(prefix), 0, len(suffix)
+    while i and j < n and prefix[i - 1] == negate_segment(suffix[j]):
+        i -= 1
+        j += 1
+    return prefix[:i] + suffix[j:]
 
 
 def negation(path: Path) -> Path:

@@ -108,7 +108,8 @@ def bound_filter(a: Relation, max_dots: int) -> Relation:
 def prefix_relation(a: Relation, prefix: Path, max_dots: int) -> Relation:
     """Re-root every element of a under a prefix (the ``x •`` view shift).
 
-    Concatenation normalizes away inverse segments, so shifting into a
+    The prefix and the elements are reduced paths, so concatenation
+    cancels inverse segments at the junction only, and shifting into a
     callee and back out restores the original pairs.  Pairs that collapse
     to reflexive ones, or that overflow the dot budget (a path of n
     segments has n - 1 dots; ``max_dots`` is nonnegative), are dropped.

@@ -178,7 +178,7 @@ def test_accept_linked_list_shared_head_aliases_cursors():
 # -- randomized criteria ------------------------------------------------------------
 
 def test_accept_outputs_are_well_formed_relations():
-    with criterion("property: transfer outputs stay symmetric/irreflexive/normalized"):
+    with criterion("property: transfer outputs stay symmetric/irreflexive/reduced"):
         props.test_transfer_preserves_relation_shape_1000()
 
 

@@ -7,6 +7,7 @@ from collections import Counter, deque
 
 import pytest
 from conftest import load_gen, read_program
+from test_paths import reduced
 from test_relations import ref_subst
 
 from aliascalc import relations as rel
@@ -20,10 +21,12 @@ from aliascalc.engine import (
     resolve_max_dots,
 )
 from aliascalc.lang import (
-    MAIN, Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, instructions_of, parse,
-    pretty,
+    KEYWORDS, MAIN, Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, instructions_of,
+    parse, pretty,
 )
-from aliascalc.paths import concat, has_negation, negation, parse_path, var
+from aliascalc.paths import (
+    NEG_MARK, concat, dot_count, has_negation, negate_segment, negation, parse_path, var,
+)
 from aliascalc.randprog import random_program
 from aliascalc.relations import (
     EMPTY,
@@ -628,6 +631,15 @@ def test_qualified_call_without_arguments():
     assert out == lit("{x.c,x.d}")
 
 
+def test_call_on_a_dotted_target_shifts_back_through_every_segment():
+    # Inside q the caller's b is a'.x'.b, so binding c := a'.x'.b and
+    # shifting back by x.a cancels two segments at the junction.
+    text = "procedure Main\n call x.a.q (b)\nend\nprocedure q (c)\n d := c\nend"
+    assert result_text(text) == "{b, x.a.d}"
+    text = "procedure Main\n call x.a.q\nend\nprocedure q\n skip\nend"
+    assert result_text(text, init="{u,x.a.f}") == "{u, x.a.f}"
+
+
 def test_qualified_call_with_arguments_drops_formal_pairs():
     text = read_program("qualified_call_args.e2")
     out = run(text, level="e2").relation
@@ -820,9 +832,11 @@ WORST_CASE = {
     ("may", 2): (25, 19, "1953da2124bd8651"),
     ("may", 3): (41, 33, "877a62c0c5bf63a5"),
     ("may", 4): (61, 61, "c51754cd4d56c940"),
+    ("may", 5): (85, 123, "198b36a63946e853"),
     ("must", 2): (8, 1, "33dba74f881adca1"),
     ("must", 3): (10, 1, "33dba74f881adca1"),
     ("must", 4): (12, 1, "33dba74f881adca1"),
+    ("must", 5): (14, 1, "33dba74f881adca1"),
 }
 
 
@@ -838,6 +852,117 @@ def test_worst_case_keys_and_pairs():
         digest = hashlib.sha256(render_relation(result.relation).encode()).hexdigest()
         got[mode, max_dots] = (result.summary_keys, len(result.relation), digest[:16])
     assert got == WORST_CASE
+
+
+# -- reduced paths and metamorphic laws on e1/e2 programs ----------------------------
+
+def workload_program(seed):
+    """A bench/gen.py program as the interproc workload draws them: seed
+    mod 3 picks e1 at size 12, acyclic e2 at size 6 or recursive e2 at
+    size 8.  Returns its text and level."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 2:
+        return GEN.recursive_program(rng, 8), "e2"
+    level = ("e1", "e2")[kind]
+    return GEN.interproc_program(rng, level, (12, 6)[kind]), level
+
+
+def test_every_relation_an_analysis_builds_holds_reduced_paths():
+    # paths.concat cancels only at the junction, which is exact only while
+    # every operand is reduced.  The callee-frame relations of qualified
+    # calls are where x' segments occur: entries in the memo, exits and
+    # keys in the table.
+    worst_case = os.path.join(os.path.dirname(PROGRAMS), "bench", "worst_case.e2")
+    with open(worst_case, encoding="utf-8") as handle:
+        analyses = [Analysis(parse(handle.read()), AnalysisConfig(mode, 3))
+                    for mode in ("may", "must")]
+    analyses += [fixture_analysis(name, mode) for name in FIXTURES
+                 if not name.endswith(".e0") for mode in ("may", "must")]
+    for seed in range(90):
+        if seed % 3:  # the two e2 kinds
+            text, level = workload_program(seed)
+            analyses += [Analysis(parse(text, level=level), AnalysisConfig(mode))
+                         for mode in ("may", "must")]
+    negated = 0
+    for analysis in analyses:
+        analysis.run()
+        relations = [entry for _, entry in analysis.table]
+        relations += list(analysis.table.values()) + list(analysis.memo.values())
+        paths = {p for a in relations for pair in a for p in pair}
+        assert all(reduced(p) for p in paths), [p for p in paths if not reduced(p)]
+        negated += any(has_negation(p) for p in paths)
+    assert negated > 50, negated
+
+
+def renamed(text):
+    """text with every identifier but Main and the keywords renamed through
+    an order-reversing bijection, and that bijection."""
+    names = sorted(set(re.findall(r"[A-Za-z][A-Za-z0-9_]*", text)) - KEYWORDS - {MAIN})
+    mapping = {name: f"v{len(names) - i:03d}" for i, name in enumerate(names)}
+    mapping[MAIN] = MAIN
+    return re.sub(r"[A-Za-z][A-Za-z0-9_]*", lambda m: mapping.get(m[0], m[0]), text), mapping
+
+
+def renamed_relation(a, mapping):
+    def segment(seg):
+        if seg.endswith(NEG_MARK):
+            return negate_segment(mapping[negate_segment(seg)])
+        return mapping[seg]
+
+    return rel.from_pairs((tuple(map(segment, e)), tuple(map(segment, f))) for e, f in a)
+
+
+def test_renaming_identifiers_renames_every_summary():
+    # The order reversal flips how pairs are oriented and sorted, so a
+    # result that leaned on name order would change here.
+    for seed in range(150):
+        text, level = workload_program(seed)
+        other, mapping = renamed(text)
+        for mode in ("may", "must"):
+            config = AnalysisConfig(mode, 3)
+            want = Analysis(parse(text, level=level), config)
+            got = Analysis(parse(other, level=level), config)
+            assert renamed_relation(want.run().relation, mapping) == got.run().relation, seed
+            assert got.table == {
+                (mapping[name], renamed_relation(entry, mapping)): renamed_relation(exit, mapping)
+                for (name, entry), exit in want.table.items()
+            }, seed
+
+
+def test_a_larger_initial_relation_never_removes_a_pair():
+    for seed in range(150):
+        text, level = workload_program(seed)
+        program = parse(text, level=level)
+        rng = random.Random(seed)
+        e, f = rng.sample(sorted(p for p in program.facts.expressions if dot_count(p) <= 3), 2)
+        for mode in ("may", "must"):
+            config = AnalysisConfig(mode, 3)
+            small = analyze(program, EMPTY, config).relation
+            assert small <= analyze(program, rel.from_pairs([(e, f)]), config).relation, seed
+
+
+def outlined(program, rng):
+    """program with a random top-level slice of one procedure's body moved
+    into a new formal-less procedure, called unqualified in its place."""
+    proc = rng.choice([p for p in program.procedures if p.body])
+    lo = rng.randrange(len(proc.body))
+    hi = rng.randint(lo + 1, len(proc.body))
+    body = proc.body[:lo] + (Call((), "outlined"),) + proc.body[hi:]
+    procedures = tuple(Procedure(p.name, p.formals, body) if p is proc else p
+                       for p in program.procedures)
+    return Program(procedures + (Procedure("outlined", (), proc.body[lo:hi]),), program.level)
+
+
+def test_outlining_a_slice_into_a_procedure_keeps_the_result():
+    for seed in range(150):
+        text, level = workload_program(seed)
+        program = parse(text, level=level)
+        rng = random.Random(seed)
+        for mode in ("may", "must"):
+            config = AnalysisConfig(mode, 3)
+            want = analyze(program, config=config).relation
+            assert analyze(outlined(program, rng), config=config).relation == want, (seed, mode)
 
 
 # -- kernels and program facts in whole analyses -------------------------------------

@@ -10,15 +10,33 @@ from aliascalc.paths import (
     has_negation,
     negate_segment,
     negation,
-    normalize,
     parse_path,
     render,
     var,
 )
 
+
+def reference_concat(p, q):
+    """concat by its definition: a stack reduction of the joined segments
+    that pops whenever a segment undoes the one below it."""
+    stack = []
+    for seg in p + q:
+        if stack and stack[-1] == negate_segment(seg):
+            stack.pop()
+        else:
+            stack.append(seg)
+    return tuple(stack)
+
+
+def reduced(p):
+    """No segment sits next to its inverse."""
+    return all(a != negate_segment(b) for a, b in zip(p, p[1:]))
+
+
 names = st.sampled_from(["a", "b", "x", "y", "first", "right"])
 segments = st.one_of(names, names.map(negate_segment))
-paths = st.lists(segments, max_size=5).map(tuple)
+# concat's operands are reduced words; the reference reduces any word.
+paths = st.lists(segments, max_size=5).map(lambda p: reference_concat(tuple(p), ()))
 
 
 def test_current_is_empty():
@@ -46,17 +64,21 @@ def test_parse_path_rejects_garbage():
             parse_path(bad)
 
 
-def test_normalize_cancels_adjacent_inverses():
+def test_concat_cancels_inverses_at_the_junction():
     # x followed by its own negation is the identity, in either order.
-    assert normalize(("x", "x'")) == CURRENT
-    assert normalize(("x'", "x")) == CURRENT
-    assert normalize(("y", "x", "x'", "z")) == ("y", "z")
-    assert normalize(("y", "x'", "x", "z")) == ("y", "z")
+    assert concat(("x",), ("x'",)) == CURRENT
+    assert concat(("x'",), ("x",)) == CURRENT
+    assert concat(("y", "x"), ("x'", "z")) == ("y", "z")
+    assert concat(("y", "x'"), ("x", "z")) == ("y", "z")
 
 
-def test_normalize_cascades():
-    assert normalize(("a", "b", "b'", "a'")) == CURRENT
-    assert normalize(("a", "b", "b'", "c")) == ("a", "c")
+def test_concat_cascades_outward_from_the_junction():
+    assert concat(("a", "b"), ("b'", "a'")) == CURRENT
+    assert concat(("a", "b"), ("b'", "c")) == ("a", "c")
+    assert concat(("a", "b"), ("b'", "a'", "c")) == ("c",)
+    assert concat(("c", "a", "b"), ("b'", "a'")) == ("c",)
+    # A doubled mark is no inverse of a single one.
+    assert concat(("a''",), ("a'",)) == ("a''", "a'")
 
 
 def test_concat_identity():
@@ -88,15 +110,19 @@ def test_has_negation():
 
 @given(paths)
 def test_negation_is_involutive(p):
-    q = normalize(p)
-    assert negation(negation(q)) == q
+    assert negation(negation(p)) == p
 
 
 @given(paths)
 def test_path_negation_cancels(p):
-    q = normalize(p)
-    assert concat(q, negation(q)) == CURRENT
-    assert concat(negation(q), q) == CURRENT
+    assert concat(p, negation(p)) == CURRENT
+    assert concat(negation(p), p) == CURRENT
+
+
+@given(paths, paths)
+def test_concat_keeps_paths_reduced(p, q):
+    assert reduced(p) and reduced(negation(p))
+    assert reduced(concat(p, q))
 
 
 @given(paths, paths, paths)
@@ -104,34 +130,17 @@ def test_concat_associative(p, q, r):
     assert concat(concat(p, q), r) == concat(p, concat(q, r))
 
 
-@given(paths)
-def test_normalize_idempotent(p):
-    assert normalize(normalize(p)) == normalize(p)
-
-
-def reference_concat(p, q):
-    """concat by its definition: a stack reduction of the joined segments
-    that pops whenever a segment undoes the one below it."""
-    stack = []
-    for seg in p + q:
-        if stack and stack[-1] == negate_segment(seg):
-            stack.pop()
-        else:
-            stack.append(seg)
-    return tuple(stack)
-
-
 @pytest.mark.parametrize("alphabet, longest", [
-    # Every pair of paths up to length 4 over a, a', b, b', normal or not:
-    # plain operands (joined as they are) and every placement of an inverse
-    # pair, at the junction or inside either operand.
+    # Every pair of reduced paths up to length 4 over a, a', b, b': plain
+    # operands (joined as they are) and every inverse pair at the junction.
     (["a", "a'", "b", "b'"], 4),
     # A doubled mark is no inverse of a single one.
     (["a", "a'", "a''"], 3),
 ])
 def test_concat_matches_stack_reduction_exhaustively(alphabet, longest):
     all_paths = [
-        tuple(p) for n in range(longest + 1) for p in itertools.product(alphabet, repeat=n)
+        p for n in range(longest + 1) for p in itertools.product(alphabet, repeat=n)
+        if reduced(p)
     ]
     for p in all_paths:
         for q in all_paths:
