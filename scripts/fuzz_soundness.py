@@ -29,11 +29,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-instructions", type=int, default=12)
-    ap.add_argument("--max-vars", type=int, default=6)
-    ap.add_argument(
-        "--verbose", action="store_true", help="print every generated program"
-    )
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
@@ -44,19 +39,12 @@ def main() -> int:
     unrealised = 0
 
     for trial in range(args.trials):
-        prog = random_program(
-            rng,
-            max_instructions=args.max_instructions,
-            max_vars=args.max_vars,
-        )
+        prog = random_program(rng)
         rep = check_soundness(prog)
         paths += rep.paths
         cut_reports += len(rep.cut_violations)
         predicted += len(rep.computed)
         unrealised += len(rep.computed - rep.realised)
-        if args.verbose:
-            print(f"-- trial {trial}")
-            print(pretty(prog))
         if rep.containment_violations or rep.modvar_violations:
             failures += 1
             print(f"-- trial {trial} FAILED")

@@ -5,7 +5,7 @@ file extension; its initial relation is the ``--init "..."`` written in its
 header comment (empty when there is none).
 
 Usage:
-    python3 scripts/run_examples.py [--programs DIR]
+    python3 scripts/run_examples.py
 
 For the per-instruction trace of one program, run ``alias-calc --output
 trace`` on it.
@@ -24,17 +24,11 @@ from aliascalc.relations import parse_relation_literal, render_relation
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--programs",
-        default=os.path.join(os.path.dirname(__file__), "..", "programs"),
-        help="directory holding the example programs",
-    )
-    args = ap.parse_args()
-
-    for name in sorted(os.listdir(args.programs)):
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    programs = os.path.join(os.path.dirname(__file__), "..", "programs")
+    for name in sorted(os.listdir(programs)):
         level = os.path.splitext(name)[1][1:]
-        with open(os.path.join(args.programs, name), "r", encoding="utf-8") as handle:
+        with open(os.path.join(programs, name), "r", encoding="utf-8") as handle:
             text = handle.read()
         found = re.search(r'--init "([^"]*)"', text)
         init_text = found.group(1) if found else "{}"

@@ -124,12 +124,12 @@ class TracePoint(Record):
 
 class AnalysisResult:
     def __init__(self, relation: Relation, procedure_exits: Dict[str, Relation],
-                 summary_keys: int, rounds: int, trace: Optional[List[TracePoint]] = None):
+                 summary_keys: int, rounds: int):
         self.relation = relation
         self.procedure_exits = procedure_exits
         self.summary_keys = summary_keys
         self.rounds = rounds
-        self.trace: List[TracePoint] = [] if trace is None else trace
+        self.trace: List[TracePoint] = []
 
 
 def resolve_max_dots(program: Program, config: AnalysisConfig, init: Relation) -> int:
@@ -183,21 +183,18 @@ class Analysis:
         facts = program.facts
         self._cost = facts.costs
         self.memo: Dict[Tuple[object, ...], Relation] = {}
+        # combine merges the relations of two control-flow paths that meet:
+        # their union in may mode, their intersection in must mode.
         if config.mode == "may":
             self._seed = rel.EMPTY
+            self.combine = frozenset.union
         elif config.mode == "must":
             self._seed = rel.universal(
                 e for e in facts.expressions if dot_count(e) <= self.max_dots
             )
+            self.combine = frozenset.intersection
         else:
             raise ValueError(f"unknown mode {config.mode!r}")
-
-    # -- mode plumbing -------------------------------------------------------
-
-    def combine(self, a: Relation, b: Relation) -> Relation:
-        if self.config.mode == "may":
-            return a | b
-        return a & b
 
     # -- transfer ------------------------------------------------------------
 
@@ -208,7 +205,7 @@ class Analysis:
         return a
 
     def _kill(self, a: Relation, ins: Create | Forget) -> Relation:
-        return rel.restrict(a, {ins.name})
+        return rel.restrict(a, ins.name)
 
     def _cut(self, a: Relation, ins: Cut) -> Relation:
         return rel.cut_pair(a, ins.left, ins.right)

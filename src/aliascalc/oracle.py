@@ -12,8 +12,8 @@ nondeterministic choices taken, kept only as a witness for reports.
 
 The interpreter enumerates executions, deduplicating on everything except
 the trail, and runs each loop to the fixpoint of its executions.  Only the
-cap on the number of executions can cut the enumeration short; a run it
-truncated is reported as bounded.
+cap ``MAX_PATHS`` on the number of executions can cut the enumeration
+short; a run it truncated is reported as bounded.
 
 The soundness check compares, for every final execution, the aliasing in
 the concrete state against the analysis result: every concrete alias pair
@@ -26,7 +26,7 @@ modified variables.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import relations as rel
 from .engine import Analysis
@@ -53,13 +53,8 @@ from .paths import render, var
 from .relations import Relation
 
 
-class ExecBounds(Record):
-    __slots__ = ("max_paths",)
-
-    def __init__(self, max_paths: int = 20_000):
-        if max_paths < 1:
-            raise ValueError("bounds must be positive")
-        object.__setattr__(self, "max_paths", max_paths)
+# The most executions a set may hold; past it, later ones are dropped.
+MAX_PATHS = 20_000
 
 
 class ConcreteState(Record):
@@ -146,15 +141,14 @@ def ensure_base_tier(program: Program) -> None:
 class Interpreter:
     """Enumerates the executions of a call-free, dot-free program."""
 
-    def __init__(self, bounds: ExecBounds = ExecBounds()):
-        self.bounds = bounds
+    def __init__(self):
         self.truncated = False
 
     def _clamp(self, execs: ExecSet) -> ExecSet:
-        if len(execs) <= self.bounds.max_paths:
+        if len(execs) <= MAX_PATHS:
             return execs
         self.truncated = True
-        return dict(list(execs.items())[: self.bounds.max_paths])
+        return dict(list(execs.items())[:MAX_PATHS])
 
     def run_body(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
         out = execs
@@ -243,11 +237,11 @@ class RunResult:
         self.truncated = truncated
 
 
-def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResult:
+def run_program(program: Program) -> RunResult:
     """All final executions of the main body from the canonical initial
     state (every variable defined, addresses pairwise distinct)."""
     ensure_base_tier(program)
-    interp = Interpreter(bounds)
+    interp = Interpreter()
     start = Execution(initial_state(program_variables(program)))
     final = interp.run_body(_exec_set([start]), program.procedure(MAIN).body)
     return RunResult(
@@ -258,20 +252,12 @@ def run_program(program: Program, bounds: ExecBounds = ExecBounds()) -> RunResul
 
 
 class SoundnessReport:
-    def __init__(
-        self,
-        paths: int,
-        bounded: bool,
-        containment_violations: Optional[List[str]] = None,
-        cut_violations: Optional[List[str]] = None,
-        modvar_violations: Optional[List[str]] = None,
-        computed: Relation = rel.EMPTY,
-    ):
+    def __init__(self, paths: int, bounded: bool, computed: Relation):
         self.paths = paths
         self.bounded = bounded
-        self.containment_violations = [] if containment_violations is None else containment_violations
-        self.cut_violations = [] if cut_violations is None else cut_violations
-        self.modvar_violations = [] if modvar_violations is None else modvar_violations
+        self.containment_violations: List[str] = []
+        self.cut_violations: List[str] = []
+        self.modvar_violations: List[str] = []
         self.computed = computed
         self.realised: Relation = rel.EMPTY  # every alias of a run whose cuts held
 
@@ -282,10 +268,6 @@ class SoundnessReport:
             + len(self.cut_violations)
             + len(self.modvar_violations)
         )
-
-    @property
-    def ok(self) -> bool:
-        return self.violation_count == 0
 
     def render(self) -> str:
         lines = list(self.containment_violations)
@@ -302,7 +284,7 @@ def _trail_text(ex: Execution) -> str:
     return ",".join(ex.trail) if ex.trail else "straight-line"
 
 
-def check_soundness(program: Program, bounds: ExecBounds = ExecBounds()) -> SoundnessReport:
+def check_soundness(program: Program) -> SoundnessReport:
     """Compare enumerated concrete aliasing against the may analysis's result.
 
     Reports three kinds of problem lines: concrete alias pairs the analysis
@@ -310,12 +292,10 @@ def check_soundness(program: Program, bounds: ExecBounds = ExecBounds()) -> Soun
     falsifies, and guaranteed-modified variables that some execution never
     assigned.
     """
-    run = run_program(program, bounds)
+    run = run_program(program)
     analysis = Analysis(program)
     computed = analysis.run().relation
-    report = SoundnessReport(
-        paths=len(run.executions), bounded=run.bounded, computed=computed
-    )
+    report = SoundnessReport(len(run.executions), run.bounded, computed)
     guaranteed = sorted(
         p[0] for p in modified_vars(program, analysis.max_dots)[MAIN] if len(p) == 1
     )

@@ -53,12 +53,12 @@ def random_program(
     max_instructions: int = 12,
     max_vars: int = 6,
     allow: FrozenSet[str] = ALL_FORMS,
-    depth: int = 2,
 ) -> Program:
-    """A random base-tier program over variables a, b, c, ..."""
+    """A random base-tier program over variables a, b, c, ..., its compound
+    instructions nested at most two deep."""
     names = [chr(ord("a") + i) for i in range(max_vars)]
     count = rng.randint(1, max_instructions)
-    body = _body(rng, names, count, allow, depth)
+    body = _body(rng, names, count, allow, 2)
     main = Procedure(name=MAIN, formals=(), body=tuple(body))
     return Program(procedures=(main,), level="e0")
 

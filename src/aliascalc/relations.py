@@ -52,11 +52,6 @@ def make_pair(e: Path, f: Path) -> Pair:
     return (e, f) if e <= f else (f, e)
 
 
-def from_pairs(pairs: Iterable[Tuple[Path, Path]]) -> Relation:
-    """Build a relation: symmetrize and drop reflexive pairs."""
-    return frozenset(make_pair(e, f) for e, f in pairs if e != f)
-
-
 def from_cliques(cliques: Iterable[Sequence[Path]]) -> Relation:
     """All-pairs closure of each group — the overline construction."""
     out: Set[Pair] = set()
@@ -78,8 +73,8 @@ def elements(a: Relation) -> FrozenSet[Path]:
     return frozenset(out)
 
 
-def restrict(a: Relation, names: Iterable[str]) -> Relation:
-    """Remove every pair involving one of the given variables.
+def restrict(a: Relation, name: str) -> Relation:
+    """Remove every pair involving the variable ``name``.
 
     "Involving" covers both the variable itself and any longer path that
     starts with it: once the variable is rebound, nothing previously known
@@ -87,11 +82,8 @@ def restrict(a: Relation, names: Iterable[str]) -> Relation:
     name (as in ``u.x``) are deliberately untouched — only the first segment
     identifies which variable a path hangs off.
     """
-    banned = set(names)
-    if not banned:
-        return a
     dropped = [
-        (e, f) for e, f in a if (e and e[0] in banned) or (f and f[0] in banned)
+        (e, f) for e, f in a if (e and e[0] == name) or (f and f[0] == name)
     ]
     return a.difference(dropped) if dropped else a
 
@@ -217,7 +209,7 @@ def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
             for e in quotient(a, y, max_dots)
             if (not e or e[0] != x_name) and len(e) <= limit
         }
-        return restrict(a, (x_name,)).union(fresh)
+        return restrict(a, x_name).union(fresh)
     fresh = {(x, y) if x < y else (y, x)}
     dropped = []
     for pair in a:

@@ -3,6 +3,7 @@ run everything from the repository root regardless of invocation cwd."""
 
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -18,6 +19,13 @@ def read_program(name):
     """Source text of a fixture under programs/."""
     with open(os.path.join(ROOT, "programs", name), encoding="utf-8") as handle:
         return handle.read()
+
+
+def fixture_init(name):
+    """The relation literal a fixture's header passes as ``--init``, or
+    ``{}`` when its header names none."""
+    found = re.search(r'--init "([^"]*)"', read_program(name))
+    return found.group(1) if found else "{}"
 
 
 def load_gen():

@@ -75,7 +75,7 @@ def test_accept_swap_oscillation():
         assert rows[4] == rows[2]
         # After an even number of swaps the original variables are back in
         # their starting pattern; x additionally carries the matching value.
-        assert restrict(rows[2], {"x"}) == init
+        assert restrict(rows[2], "x") == init
 
 
 def test_accept_swap_loop_fixpoint():

@@ -3,13 +3,12 @@ diagnostics, and byte-stability."""
 
 import io
 import os
-import re
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
-from conftest import ROOT, read_program
+from conftest import ROOT, fixture_init, read_program
 
 from aliascalc.cli import main
 from aliascalc.engine import AnalysisConfig, analyze, resolve_max_dots
@@ -245,8 +244,7 @@ def test_assertion_clauses_are_exactly_the_pairs_aliased_denies(name, capsys):
     # Each pair of written expressions is printed apart exactly when the
     # library's own query, at the analysis's budget, says it is not aliased.
     text = read_program(name)
-    found = re.search(r'--init "([^"]*)"', text)
-    init_text = found.group(1) if found else "{}"
+    init_text = fixture_init(name)
     code, out, _ = run_cli(
         [f"{PROGRAMS}/{name}", "--init", init_text, "--output", "assertion"], capsys=capsys
     )
@@ -454,6 +452,16 @@ def test_setter_hint_diagnostic(capsys, monkeypatch):
     assert code == 2
     assert "setter call" in err
     assert "call x.set_a" in err
+
+
+def test_call_without_a_target_is_a_diagnostic(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["-", "--level", "e1"],
+        stdin_text="procedure Main\n  call Current\nend\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out, err) == (2, "", "<stdin>:2:3: call target must name a procedure\n")
 
 
 def test_level_fence_diagnostic_position(capsys, monkeypatch):

@@ -13,7 +13,8 @@ import contextlib
 import io
 import json
 import os
-import re
+
+from conftest import fixture_init
 
 from aliascalc.cli import OUTPUTS, main
 
@@ -24,9 +25,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_runs.json")
 def fixture_argvs():
     """(key, argv) for each fixture × output, paths relative to the root."""
     for name in sorted(os.listdir(os.path.join(ROOT, "programs"))):
-        with open(os.path.join(ROOT, "programs", name), encoding="utf-8") as handle:
-            found = re.search(r'--init "([^"]*)"', handle.read())
-        init = found.group(1) if found else "{}"
+        init = fixture_init(name)
         for output in OUTPUTS:
             argv = [f"programs/{name}", "--level", name[-2:], "--init", init,
                     "--output", output]

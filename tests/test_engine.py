@@ -6,7 +6,7 @@ import time
 from collections import Counter, deque
 
 import pytest
-from conftest import load_gen, read_program
+from conftest import fixture_init, load_gen, read_program
 from test_paths import reduced
 from test_relations import ref_subst
 
@@ -238,9 +238,7 @@ class RoundRobin(Analysis):
 
 def fixture_source(name):
     """A fixture's text, its level and the relation its header's --init names."""
-    text = read_program(name)
-    found = re.search(r'--init "([^"]*)"', text)
-    return text, name.rsplit(".", 1)[1], lit(found.group(1) if found else "{}")
+    return read_program(name), name.rsplit(".", 1)[1], lit(fixture_init(name))
 
 
 def fixture_analysis(name, mode, driver=Analysis):
@@ -910,7 +908,7 @@ def renamed_relation(a, mapping):
             return negate_segment(mapping[negate_segment(seg)])
         return mapping[seg]
 
-    return rel.from_pairs((tuple(map(segment, e)), tuple(map(segment, f))) for e, f in a)
+    return rel.from_cliques((tuple(map(segment, e)), tuple(map(segment, f))) for e, f in a)
 
 
 def test_renaming_identifiers_renames_every_summary():
@@ -939,7 +937,7 @@ def test_a_larger_initial_relation_never_removes_a_pair():
         for mode in ("may", "must"):
             config = AnalysisConfig(mode, 3)
             small = analyze(program, EMPTY, config).relation
-            assert small <= analyze(program, rel.from_pairs([(e, f)]), config).relation, seed
+            assert small <= analyze(program, rel.from_cliques([(e, f)]), config).relation, seed
 
 
 def outlined(program, rng):

@@ -5,11 +5,10 @@ from typing import NamedTuple, Tuple
 import pytest
 from conftest import read_program
 
-from aliascalc import oracle
+from aliascalc import cli, oracle
 from aliascalc.lang import MAIN, Assign, Create, Forget, parse
 from aliascalc.oracle import (
     ConcreteState,
-    ExecBounds,
     Execution,
     Interpreter,
     RunResult,
@@ -24,7 +23,7 @@ from aliascalc.oracle import (
     run_program,
 )
 from aliascalc.randprog import random_program
-from aliascalc.relations import make_pair, parse_relation_literal as lit
+from aliascalc.relations import EMPTY, make_pair, parse_relation_literal as lit
 from aliascalc.paths import var
 
 
@@ -211,11 +210,12 @@ class PassByPass(Interpreter):
     "then create a else a := x end",
 ])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 8, 13, 40])
-def test_repeat_keeps_the_executions_of_every_pass(body, count):
+def test_repeat_keeps_the_executions_of_every_pass(body, count, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_PATHS", 50)
     program = parse(f"create z\niterate {count} {body} end\nt := z", level="e0")
     start = _exec_set([Execution(initial_state(program_variables(program)))])
     main = program.procedure("Main").body
-    fast, slow = Interpreter(ExecBounds(max_paths=50)), PassByPass(ExecBounds(max_paths=50))
+    fast, slow = Interpreter(), PassByPass()
     got, want = fast.run_body(start, main), slow.run_body(start, main)
     assert list(got) == list(want)
     assert fast.truncated == slow.truncated
@@ -232,23 +232,23 @@ def test_execution_records_hash_and_compare_by_value():
     assert ex.key() == Execution(state, frozenset({"x"}), trail=("then",)).key()
     with pytest.raises(AttributeError):
         ex.trail = ()
-    with pytest.raises(ValueError):
-        ExecBounds(max_paths=0)
 
 
-def test_truncation_flag():
+def test_truncation_flag(monkeypatch):
     # Each of the eight variables shares x's object or not: 256 alias
     # outcomes, more than the cap of 10.
     text = "\n".join(f"then {v} := x else skip end" for v in "abcdefgh")
-    run = run_program(parse(text, level="e0"), ExecBounds(max_paths=10))
+    monkeypatch.setattr(oracle, "MAX_PATHS", 10)
+    run = run_program(parse(text, level="e0"))
     assert run.truncated and run.bounded
     assert len(run.executions) == 10
-    run = run_program(parse(text, level="e0"), ExecBounds(max_paths=256))
+    # A loop whose body has those outcomes ends at the cap as well.
+    run = run_program(parse(f"loop {text} end", level="e0"))
+    assert run.truncated and len(run.executions) == 10
+    monkeypatch.setattr(oracle, "MAX_PATHS", 256)
+    run = run_program(parse(text, level="e0"))
     assert not run.truncated and not run.bounded
     assert len({aliases_of(ex.state) for ex in run.executions}) == 256
-    # A loop whose body has those outcomes ends at the cap as well.
-    run = run_program(parse(f"loop {text} end", level="e0"), ExecBounds(max_paths=10))
-    assert run.truncated and len(run.executions) == 10
 
 
 def test_path_union_excludes_cut_violated_paths():
@@ -260,14 +260,14 @@ def test_path_union_excludes_cut_violated_paths():
 
 def test_clean_program_report():
     rep = check_soundness(parse("x := y ; z := x", level="e0"))
-    assert rep.ok
+    assert rep.violation_count == 0
     assert rep.paths == 1
     assert rep.render() == "checked 1 paths, 0 violations, bounded: no"
 
 
 def test_cut_violation_is_reported_and_exits_containment():
     rep = check_soundness(parse("x := y ; cut x, y ; z := x", level="e0"))
-    assert not rep.ok
+    assert rep.violation_count == 1
     assert len(rep.cut_violations) == 1
     assert "cut assumption violated: x ~ y" in rep.cut_violations[0]
     assert rep.containment_violations == []
@@ -283,6 +283,53 @@ def test_report_render_shape():
     lines = rep.render().splitlines()
     assert lines[-1].startswith("checked ")
     assert lines[-1].endswith("bounded: no")
+
+
+class BlindAnalysis(oracle.Analysis):
+    """An analysis that predicts no alias at all."""
+
+    def run(self):
+        result = super().run()
+        result.relation = EMPTY
+        return result
+
+
+def test_missed_alias_is_a_containment_violation(monkeypatch):
+    monkeypatch.setattr(oracle, "Analysis", BlindAnalysis)
+    rep = check_soundness(parse("x := y", level="e0"))
+    assert rep.render() == (
+        "violation: concrete alias [x, y] not predicted (path: straight-line)\n"
+        "checked 1 paths, 1 violations, bounded: no"
+    )
+
+
+def test_unassigned_guaranteed_variable_is_a_modvars_violation(monkeypatch):
+    monkeypatch.setattr(oracle, "modified_vars", lambda program, max_dots: {MAIN: {("z",)}})
+    rep = check_soundness(parse("then x := y else z := y end", level="e0"))
+    assert rep.modvar_violations == ["modified-variables violation: 'z' not assigned (path: then)"]
+    assert rep.violation_count == 1
+
+
+def test_render_orders_containment_cut_modvars_then_summary(monkeypatch):
+    # The then-path is met first and reports the cut and the modvars lines;
+    # the else-path's containment line still comes first.
+    monkeypatch.setattr(oracle, "Analysis", BlindAnalysis)
+    monkeypatch.setattr(oracle, "modified_vars", lambda program, max_dots: {MAIN: {("z",)}})
+    rep = check_soundness(parse("then x := y ; cut x, y else z := y end", level="e0"))
+    assert rep.render().splitlines() == [
+        "violation: concrete alias [y, z] not predicted (path: else)",
+        "cut assumption violated: x ~ y at 'cut x, y' (path: then)",
+        "modified-variables violation: 'z' not assigned (path: then)",
+        "checked 2 paths, 3 violations, bounded: no",
+    ]
+
+
+def test_cli_soundness_exits_3_on_a_missed_alias(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(oracle, "Analysis", BlindAnalysis)
+    source = tmp_path / "copy.e0"
+    source.write_text("x := y\n")
+    assert cli.main([str(source), "--level", "e0", "--output", "soundness"]) == 3
+    assert capsys.readouterr().out.startswith("violation: concrete alias [x, y]")
 
 
 def test_soundness_over_mixed_flow_fixture():
@@ -314,8 +361,8 @@ class ReferenceInterpreter(Interpreter):
     a probe iteration that flags the run as bounded when the loop would
     still have reached a new execution."""
 
-    def __init__(self, bounds, unroll):
-        super().__init__(bounds)
+    def __init__(self, unroll):
+        super().__init__()
         self.unroll = unroll
         self.bounded = False
 
@@ -356,9 +403,9 @@ class ReferenceInterpreter(Interpreter):
         return seen
 
 
-def reference_run_program(program, bounds=ExecBounds(), unroll=4):
+def reference_run_program(program, unroll=4):
     ensure_base_tier(program)
-    interp = ReferenceInterpreter(bounds, unroll)
+    interp = ReferenceInterpreter(unroll)
     names = sorted(program_variables(program))
     start = Execution(ReferenceState(tuple((v, i) for i, v in enumerate(names)), len(names)))
     final = interp.run_body(_exec_set([start]), program.procedure(MAIN).body)

@@ -35,7 +35,6 @@ from aliascalc.relations import (
     canonical,
     elements,
     from_cliques,
-    from_pairs,
     make_pair,
 )
 
@@ -48,7 +47,7 @@ def random_relation(rng, names=VARS, max_pairs=8):
     for _ in range(rng.randint(0, max_pairs)):
         x, y = rng.sample(names, 2)
         pairs.append((var(x), var(y)))
-    return from_pairs(pairs)
+    return from_cliques(pairs)
 
 
 def corpus(count, allow=ALL_FORMS, seed=SEED, **kw):
@@ -111,8 +110,8 @@ def test_intersection_distribution_fails_with_branching():
     # the branches' sources, the split side keeps pairs the joint side
     # never sees.  This pins the counterexample.
     prog = parse("then x := y else x := z end", level="e0")
-    a = from_pairs([(var("y"), var("u"))])
-    b = from_pairs([(var("z"), var("u"))])
+    a = from_cliques([(var("y"), var("u"))])
+    b = from_cliques([(var("z"), var("u"))])
     joint = analyze(prog, a & b).relation
     split = analyze(prog, a).relation & analyze(prog, b).relation
     assert joint < split
@@ -140,7 +139,7 @@ def test_canonical_vs_brute_force_200():
         for _ in range(rng.randint(0, 10)):
             e, f = rng.sample(exprs, 2)
             pairs.append((e, f))
-        a = from_pairs(pairs)
+        a = from_cliques(pairs)
         assert sorted(canonical(a)) == brute_force_cliques(a)
         assert from_cliques(canonical(a)) == a
 

@@ -1,9 +1,10 @@
 """Smoke tests of the two scripts under scripts/, run as a user would."""
 
 import os
-import re
 import subprocess
 import sys
+
+from conftest import fixture_init
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROGRAMS = os.path.join(ROOT, "programs")
@@ -24,9 +25,7 @@ def test_run_examples_covers_every_fixture_with_its_header_init():
     assert proc.returncode == 0, proc.stderr
     expected = []
     for name in sorted(os.listdir(PROGRAMS)):
-        with open(os.path.join(PROGRAMS, name), encoding="utf-8") as handle:
-            found = re.search(r'--init "([^"]*)"', handle.read())
-        init = found.group(1) if found else "{}"
+        init = fixture_init(name)
         expected.append(f"== {name}  (level {name[-2:]}, init {init})")
     headers = [line for line in proc.stdout.splitlines() if line.startswith("==")]
     assert headers == expected
