@@ -68,10 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_source(file_arg: Optional[str]) -> Tuple[str, str]:
-    """The source text and its display name.  A byte that is not UTF-8
-    decodes to a lone surrogate, as on standard input, so the tokenizer
-    reports it with its position instead of the decoder raising."""
+    """The source text and its display name, read as UTF-8 with universal
+    newlines from a file or stdin alike.  A byte that is not UTF-8 decodes
+    to a lone surrogate, which the tokenizer reports with its position."""
     if file_arg is None or file_arg == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
         return sys.stdin.read(), "<stdin>"
     with open(file_arg, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read(), file_arg

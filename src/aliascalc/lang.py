@@ -36,7 +36,6 @@ without computing one offset.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from functools import partial
 from operator import attrgetter
 from typing import (
@@ -44,7 +43,7 @@ from typing import (
     TypeVar, Union,
 )
 
-from .paths import CURRENT, Path, dot_count, render, var
+from .paths import CURRENT, NAME, Path, dot_count, render, var
 
 KEYWORDS = {
     "skip", "forget", "create", "cut", "then", "else", "end",
@@ -72,11 +71,6 @@ class SourceError(Exception):
         self.message = message
         self.line = line
         self.col = col
-
-    def __str__(self) -> str:
-        if self.line:
-            return f"line {self.line}, col {self.col}: {self.message}"
-        return self.message
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +344,15 @@ def iterate(step: Callable[[State], State], state: State, count: int,
 # come first.  A search skips blanks, and also any character no
 # alternative starts with, which is why ``tokenize`` checks that the
 # matches and the blanks tile the text.
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\n|:=|[;.,()]|[0-9]+|--[^\n]*")
-_BLANKS_RE = re.compile(r"[ \t\r]*")
+_TOKEN_RE = re.compile(NAME.pattern + r"|\n|:=|[;.,()]|[0-9]+|--[^\n]*")
+# Blanks and tokens from the start of a text: it ends at the first
+# character that none of them covers.
+_TILE_RE = re.compile(r"(?:[ \t\r]|" + _TOKEN_RE.pattern + ")*")
+
+
+def _line_col(text: str, offset: int) -> Tuple[int, int]:
+    """Line and column, both from 1, of the character at offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _blanks(text: str) -> int:
@@ -373,17 +374,8 @@ def tokenize(text: str) -> List[str]:
         covered -= _blanks("".join(tok for tok in found if tok[0] == "-"))
         found = [tok for tok in found if tok[0] != "-"]
     if covered != len(text):
-        offset = 0
-        for m in _TOKEN_RE.finditer(text):
-            offset = _BLANKS_RE.match(text, offset).end()
-            if offset != m.start():
-                break
-            offset = m.end()
-        else:
-            offset = _BLANKS_RE.match(text, offset).end()
-        line = text.count("\n", 0, offset) + 1
-        raise SourceError(f"unexpected character {text[offset]!r}",
-                          line, offset - text.rfind("\n", 0, offset))
+        offset = _TILE_RE.match(text).end()
+        raise SourceError(f"unexpected character {text[offset]!r}", *_line_col(text, offset))
     found.append("")
     return found
 
@@ -395,26 +387,18 @@ class Positions:
     pattern, so a text whose positions are never read never pays for
     them."""
 
-    __slots__ = ("text", "starts", "newlines")
+    __slots__ = ("text", "starts")
 
     def __init__(self, text: str):
         self.text = text
         self.starts: Optional[List[int]] = None
-        self.newlines: List[int] = []
 
     def __call__(self, i: int) -> Tuple[int, int]:
-        starts = self.starts
-        if starts is None:
-            text = self.text
-            starts = [m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "-"]
-            # Every newline in the text is a token: blanks and comments hold none.
-            self.newlines = [offset for offset in starts if text[offset] == "\n"]
-            starts.append(len(text))
-            self.starts = starts
-        offset = starts[i]
-        newlines = self.newlines
-        before = bisect_left(newlines, offset)
-        return before + 1, offset - (newlines[before - 1] if before else -1)
+        text = self.text
+        if self.starts is None:
+            self.starts = [m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "-"]
+            self.starts.append(len(text))
+        return _line_col(text, self.starts[i])
 
 
 # ---------------------------------------------------------------------------

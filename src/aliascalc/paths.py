@@ -22,9 +22,14 @@ when its joined text contains the mark, which is one C-level scan.
 
 from __future__ import annotations
 
+import re
 from typing import Tuple
 
 Path = Tuple[str, ...]
+
+# A segment name, the one name rule of every input: the scanner reads a
+# program's words by it, and ``parse_path`` a relation literal's segments.
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 CURRENT: Path = ()
 
@@ -81,14 +86,12 @@ def parse_path(text: str) -> Path:
     current object is the identity.  Negated segments are rejected: they
     are an internal notion, not part of any input syntax.
     """
-    parts = [p.strip() for p in text.strip().split(".")]
     segs: list[str] = []
-    for part in parts:
+    for part in text.split("."):
+        part = part.strip()
         if part == "Current":
             continue
-        if not part:
-            raise ValueError(f"empty segment in path {text!r}")
-        if not (part[0].isalpha() and all(c.isalnum() or c == "_" for c in part)):
+        if not NAME.fullmatch(part):
             raise ValueError(f"bad path segment {part!r} in {text!r}")
         segs.append(part)
     return tuple(segs)

@@ -28,6 +28,7 @@ Two ideas deserve a note up front:
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
@@ -264,20 +265,19 @@ def canonical(a: Relation) -> Tuple[Tuple[Path, ...], ...]:
     """
     adj = _partner_index(a)
 
+    # A stack of (r, p, x) frames, not recursion, so no clique is too big.
     cliques: List[Set[Path]] = []
-
-    def expand(r: Set[Path], p: Set[Path], x: Set[Path]) -> None:
+    frames = [(set(), set(adj), set())] if adj else []
+    while frames:
+        r, p, x = frames.pop()
         if not p and not x:
-            cliques.append(set(r))
-            return
+            cliques.append(r)
+            continue
         pivot = max(p | x, key=lambda u: len(p & adj[u]))
         for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            frames.append((r | {v}, p & adj[v], x & adj[v]))
             p.remove(v)
             x.add(v)
-
-    if adj:
-        expand(set(), set(adj.keys()), set())
 
     rendered = [tuple(sorted(c, key=render)) for c in cliques]
     return tuple(sorted(rendered, key=lambda c: tuple(render(e) for e in c)))
@@ -291,6 +291,11 @@ def render_relation(a: Relation) -> str:
     return ", ".join("{" + ", ".join(render(e) for e in c) + "}" for c in cliques)
 
 
+# Brace groups, separated by commas, of comma-separated paths.
+_GROUP_RE = re.compile(r"\{([^{}]*)\}")
+_LITERAL_RE = re.compile(r"{0}(?:\s*,\s*{0})*".format(_GROUP_RE.pattern))
+
+
 def parse_relation_literal(text: str) -> Relation:
     """Parse the clique syntax produced by render_relation.
 
@@ -301,24 +306,12 @@ def parse_relation_literal(text: str) -> Relation:
     s = text.strip()
     if not s or s == "{}":
         return EMPTY
-    cliques: List[List[Path]] = []
-    rest = s
-    while True:
-        rest = rest.lstrip()
-        if not rest.startswith("{"):
-            raise ValueError("expected '{' to open a relation group")
-        close = rest.find("}")
-        if close < 0:
-            raise ValueError("unbalanced '{' in relation literal")
-        body = rest[1:close].strip()
-        if body:
-            cliques.append([parse_path(part) for part in body.split(",")])
-        rest = rest[close + 1 :].lstrip()
-        if not rest:
-            return from_cliques(cliques)
-        if not rest.startswith(","):
-            raise ValueError("expected ',' between relation groups")
-        rest = rest[1:]
+    if not _LITERAL_RE.fullmatch(s):
+        raise ValueError(f"expected brace groups separated by commas, found {s!r}")
+    return from_cliques(
+        [parse_path(part) for part in body.split(",")]
+        for body in _GROUP_RE.findall(s) if body.strip()
+    )
 
 
 def to_assertion(a: Relation, universe: Iterable[Path], max_dots: int) -> str:

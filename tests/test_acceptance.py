@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import test_properties as props
 from conftest import read_program as source
 
-from aliascalc.engine import AnalysisConfig, analyze
+from aliascalc.engine import analyze
 from aliascalc.lang import (
     Assign,
     Call,

@@ -19,9 +19,17 @@ from aliascalc.relations import EMPTY, aliased, parse_relation_literal
 PROGRAMS = "programs"
 
 
+def stdin_stream(data):
+    """A byte stream behind a text layer, as the interpreter sets up
+    standard input on POSIX under a strict UTF-8 locale: no newline
+    translation, and a decoding the command line must reconfigure (a
+    ``StringIO`` has no ``reconfigure``)."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict", newline="\n")
+
+
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdin", stdin_stream(stdin_text.encode()))
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -343,7 +351,7 @@ def test_soundness_violation_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "cut" in out
-    assert "1 violations" in out or "violations" in out
+    assert "checked 1 paths, 1 violations, bounded: no" in out
 
 
 # -- exit codes and diagnostics ----------------------------------------------------------
@@ -381,6 +389,36 @@ def test_usage_error_bad_init(capsys):
     code, _, err = run_cli(["--init", "{a,b", "--level", "e0"], capsys=capsys)
     assert code == 1
     assert "bad --init" in err
+
+
+@pytest.mark.parametrize("literal", ["{é,x}", "{a,b},", "{a b}"])
+def test_usage_error_bad_init_names_and_separators(literal, capsys, monkeypatch):
+    # --init names follow the program's name rule, so no non-ASCII letter.
+    code, out, err = run_cli(
+        ["-", "--level", "e0", "--init", literal],
+        stdin_text="skip", monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "bad --init" in err
+
+
+def test_stdin_is_read_as_utf8_whatever_the_locale(capsys, monkeypatch):
+    # A locale's strict decoding would raise on the byte; stdin is read as a
+    # file is, so the byte is a diagnostic at its position.
+    monkeypatch.setattr(sys, "stdin", stdin_stream(b"x := y\xff\n"))
+    code, out, err = run_cli(["-", "--level", "e0"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "<stdin>:1:7: unexpected character '\\udcff'\n"
+
+
+def test_stdin_reads_carriage_returns_as_a_file_does(capsys, monkeypatch, tmp_path):
+    source = tmp_path / "cr.e0"
+    source.write_bytes(b"x := y\rz := x\r")
+    for argv, stdin_text in (([str(source)], None), (["-"], "x := y\rz := x\r")):
+        code, out, _ = run_cli(
+            argv + ["--level", "e0"], stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert (code, out) == (0, "{x, y, z}\n"), argv
 
 
 def test_usage_error_missing_file(capsys):

@@ -23,7 +23,7 @@ from aliascalc.oracle import (
     run_program,
 )
 from aliascalc.randprog import random_program
-from aliascalc.relations import EMPTY, make_pair, parse_relation_literal as lit
+from aliascalc.relations import EMPTY, parse_relation_literal as lit
 from aliascalc.paths import var
 
 

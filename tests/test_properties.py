@@ -26,7 +26,6 @@ from aliascalc.lang import (
     parse,
     pretty,
 )
-from aliascalc.modvars import modified_vars
 from aliascalc.oracle import check_soundness
 from aliascalc.paths import parse_path, render, var
 from aliascalc.randprog import ALL_FORMS, STRAIGHT_LINE, random_program

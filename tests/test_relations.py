@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import sys
 
@@ -271,6 +272,19 @@ def test_canonical_overlapping_cliques():
 
 def test_canonical_empty():
     assert canonical(EMPTY) == ()
+
+
+def test_canonical_of_a_large_clique_needs_no_recursion():
+    # The clique search keeps its own stack: a clique of 300 members fits
+    # under a recursion limit only 100 frames above the caller's depth.
+    members = [var(f"v{i}") for i in range(300)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        cliques = canonical(from_cliques([members]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == (tuple(sorted(members, key=render)),)
 
 
 def brute_force_cliques(a):
