@@ -18,11 +18,11 @@ import os
 import random
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path[:0] = [os.path.join(os.path.dirname(__file__), "..", d) for d in ("src", "tests")]
 
 from aliascalc.lang import pretty
 from aliascalc.oracle import check_soundness
-from aliascalc.randprog import random_program
+from randprog import random_program
 
 
 def main() -> int:

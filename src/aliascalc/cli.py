@@ -138,25 +138,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report.render())
         return 3 if report.violation_count else 0
 
-    config = AnalysisConfig(max_dots=args.max_dots)
+    max_dots = resolve_max_dots(program, AnalysisConfig(max_dots=args.max_dots), init)
 
     if args.output == "modvars":
         from .modvars import modified_vars
 
-        sets = modified_vars(program, resolve_max_dots(program, config, init))
+        sets = modified_vars(program, max_dots)
         for proc in program.procedures:
             members = ", ".join(sorted(render(p) for p in sets[proc.name]))
             print(f"{proc.name}: {members}" if members else f"{proc.name}:")
         return 0
 
-    result = analyze(program, init, config, trace=(args.output == "trace"))
+    result = analyze(program, init, AnalysisConfig(max_dots=max_dots),
+                     trace=(args.output == "trace"))
 
     if args.output == "relation":
         print(render_relation(result.relation))
     elif args.output == "trace":
         print(_render_trace(result.trace))
     elif args.output == "assertion":
-        max_dots = resolve_max_dots(program, config, init)
         print(to_assertion(result.relation, program.facts.expressions, max_dots))
     elif args.output == "dot":
         print(emit_dot(canonical(result.relation)))

@@ -47,7 +47,7 @@ In may mode fresh keys start empty and exits only grow; in must mode they
 start at the full relation over the program's expressions and only
 shrink.  Once the worklist is empty, only the keys reachable from main's
 entry are kept: contexts created from intermediate values of the fixpoint
-are dropped, so neither the trace nor the per-procedure exits see them.
+are dropped, so the trace does not see them.
 
 A re-run body mostly meets the relations it met before, so each analysis
 memoizes its substitutions, keyed by (instruction, input relation): an
@@ -123,10 +123,8 @@ class TracePoint(Record):
 
 
 class AnalysisResult:
-    def __init__(self, relation: Relation, procedure_exits: Dict[str, Relation],
-                 summary_keys: int, rounds: int):
+    def __init__(self, relation: Relation, summary_keys: int, rounds: int):
         self.relation = relation
-        self.procedure_exits = procedure_exits
         self.summary_keys = summary_keys
         self.rounds = rounds
         self.trace: List[TracePoint] = []
@@ -404,15 +402,8 @@ class Analysis:
                     live.add(callee)
                     todo.append(callee)
         self.table = {key: exit_rel for key, exit_rel in self.table.items() if key in live}
-        exits: Dict[str, Relation] = {}
-        for (name, _), exit_rel in self.table.items():
-            if name in exits:
-                exits[name] = self.combine(exits[name], exit_rel)
-            else:
-                exits[name] = exit_rel
         return AnalysisResult(
             relation=self.table[root],
-            procedure_exits=exits,
             summary_keys=len(self.table),
             rounds=self.rounds,
         )
@@ -457,8 +448,7 @@ def analyze(
     trace: bool = False,
 ) -> AnalysisResult:
     """Analyze a whole program: the result is init transferred through a
-    call of the main procedure, with every procedure's exit relation
-    exposed alongside."""
+    call of the main procedure."""
     analysis = Analysis(program, config, init)
     if trace:
         return analysis.run_with_trace()

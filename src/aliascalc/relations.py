@@ -11,9 +11,9 @@ Two ideas deserve a note up front:
 
 * **Completion on demand.**  Stored pairs are only the explicitly derived
   ones.  Pairs that follow by composing components (``x.a ~ y.b`` because
-  ``x ~ y`` and ``a ~ b``) are *not* materialized; the ``aliased`` query and
-  the ``quotient`` search reconstruct them when an operation needs the full
-  picture.  This keeps relations small and printable.
+  ``x ~ y`` and ``a ~ b``) are *not* materialized; the ``quotient`` search
+  reconstructs them when an operation needs the full picture.  This keeps
+  relations small and printable.
 
 * **Quotient for an assignment source.**  For ``x := y`` the new partners of
   ``x`` are the expressions that may equal ``y`` *in the pre-state*, kept
@@ -178,11 +178,6 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
     return frozenset(closure(y))
 
 
-def aliased(a: Relation, e: Path, f: Path, max_dots: int) -> bool:
-    """Completion-aware aliasing query between two distinct paths."""
-    return e != f and f in quotient(a, e, max_dots)
-
-
 def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:
     """Effect of the assignment x := y on the relation.
 
@@ -317,8 +312,8 @@ def parse_relation_literal(text: str) -> Relation:
 def to_assertion(a: Relation, universe: Iterable[Path], max_dots: int) -> str:
     """Negation of a relation as a conjunction of disequalities.
 
-    Every unordered pair of distinct universe members that is aliased
-    neither way (``aliased`` at the dot budget, completions included)
+    Every unordered pair of distinct universe members neither of which is
+    in the other's ``quotient`` at the dot budget (completions included)
     contributes one ``e ≠ f`` clause; an aliased pair asserts nothing (the
     two sides may or may not be equal).  An empty conjunction is ``true``.
     """

@@ -1,10 +1,11 @@
-"""Seeded random generation of base-tier programs for property tests.
+"""Seeded random programs for the tests and ``scripts/fuzz_soundness.py``.
 
-The generator is deterministic given the ``random.Random`` instance, so a
-failing case can always be replayed from its seed.  ``allow`` selects which
-instruction forms may appear; the property suites use it to carve out the
-sub-corpora some laws require (e.g. straight-line programs, or programs
-without ``forget``).
+``random_program`` builds base-tier (e0) programs and ``with_calls`` e1
+programs whose procedures call each other.  Both are deterministic given
+the ``random.Random`` instance, so a failing case can always be replayed
+from its seed.  ``allow`` selects which instruction forms may appear; the
+property suites use it to carve out the sub-corpora some laws require
+(e.g. straight-line programs, or programs without ``forget``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, List, Tuple
 
-from .lang import (
+from aliascalc.lang import (
     Assign,
+    Call,
     Cond,
     Create,
     Cut,
@@ -27,7 +29,7 @@ from .lang import (
     Skip,
     _walk,
 )
-from .paths import var
+from aliascalc.paths import var
 
 ALL_FORMS: FrozenSet[str] = frozenset(
     {"skip", "create", "forget", "cut", "assign", "cond", "loop", "repeat"}
@@ -130,3 +132,17 @@ def _instruction(
 def len_of(body: List[Instruction]) -> int:
     """The instructions in body, compound ones and their contents alike."""
     return sum(1 for _ in _walk(body))
+
+
+def with_calls(rng: random.Random) -> Program:
+    """Three procedures made of a random program's body plus a call to a
+    random procedure inside a branch and inside a loop, so that calls,
+    recursion and call-bearing compounds all occur."""
+    names = [MAIN, "p", "q"]
+    procs = []
+    for name in names:
+        body = random_program(rng, max_instructions=6, max_vars=4).procedure(MAIN).body
+        branch = Cond(then_branch=(Call((), rng.choice(names[1:])),), else_branch=body[:1])
+        loop = Loop(body=body[-1:] + (Call((), rng.choice(names[1:])),))
+        procs.append(Procedure(name=name, formals=(), body=body + (branch, loop)))
+    return Program(procedures=tuple(procs), level="e1")

@@ -4,6 +4,7 @@ from typing import NamedTuple, Tuple
 
 import pytest
 from conftest import read_program
+from randprog import random_program
 
 from aliascalc import cli, oracle
 from aliascalc.lang import MAIN, Assign, Create, Forget, parse
@@ -22,7 +23,6 @@ from aliascalc.oracle import (
     program_variables,
     run_program,
 )
-from aliascalc.randprog import random_program
 from aliascalc.relations import EMPTY, parse_relation_literal as lit
 from aliascalc.paths import var
 

@@ -5,12 +5,14 @@ follow the project's acceptance bar (1000 cases for the algebraic laws,
 500 programs for the interpreter comparison, 200 elsewhere).
 """
 
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
 
+from randprog import ALL_FORMS, STRAIGHT_LINE, random_program, with_calls
 from test_paths import reduced
 
 from aliascalc.engine import AnalysisConfig, analyze
@@ -28,7 +30,6 @@ from aliascalc.lang import (
 )
 from aliascalc.oracle import check_soundness
 from aliascalc.paths import parse_path, render, var
-from aliascalc.randprog import ALL_FORMS, STRAIGHT_LINE, random_program
 from aliascalc.relations import (
     EMPTY,
     canonical,
@@ -268,15 +269,16 @@ def test_generator_is_independent_of_hash_seed():
     script = (
         "import random\n"
         "from aliascalc.lang import pretty\n"
-        "from aliascalc.randprog import random_program\n"
+        "from randprog import random_program\n"
         "rng = random.Random(0)\n"
         "for _ in range(50):\n"
         "    print(pretty(random_program(rng)))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
     outputs = set()
     for hash_seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
@@ -296,3 +298,22 @@ def test_generator_programs_parse_back():
 
     for prog in corpus(100):
         assert parse(pretty(prog), level="e0") == prog
+
+
+def corpus_digest(programs):
+    digest = hashlib.sha256()
+    for prog in programs:
+        digest.update(pretty(prog).encode() + b"\0")
+    return digest.hexdigest()
+
+
+def test_seeded_corpora_are_unchanged():
+    # Every seeded suite, and scripts/fuzz_soundness.py, draws from these
+    # generators: a change to either would silently swap the programs that
+    # the recorded counts (fuzz pairs, oracle comparisons) were read from.
+    rng = random.Random(1)
+    assert corpus_digest(random_program(rng) for _ in range(500)) == (
+        "7918d10aad0c77afb2ea51ed4168036225980f1770e450feb84bb902e60487a6")
+    rng = random.Random(20101)
+    assert corpus_digest(with_calls(rng) for _ in range(100)) == (
+        "52443320f052dd80d1c914c3c858ba0f1c5c6ed4d02a4d1a9f51978b5feb6fd2")
