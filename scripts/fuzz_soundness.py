@@ -20,9 +20,8 @@ import sys
 
 sys.path[:0] = [os.path.join(os.path.dirname(__file__), "..", d) for d in ("src", "tests")]
 
-from aliascalc.lang import pretty
 from aliascalc.oracle import check_soundness
-from randprog import random_program
+from randprog import pretty, random_program
 
 
 def main() -> int:

@@ -134,7 +134,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.output == "soundness":
         from .oracle import check_soundness
 
-        report = check_soundness(program)
+        report = check_soundness(program, init, args.max_dots)
         print(report.render())
         return 3 if report.violation_count else 0
 

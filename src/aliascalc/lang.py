@@ -30,7 +30,9 @@ statement on its first word through one keyword table.  A position is
 worked out only when it is read: ``Positions`` finds every token's offset
 on its first lookup, which an error makes at once and a procedure or call
 makes when its ``pos`` is first read, so a valid program is parsed
-without computing one offset.
+without computing one offset.  The parser also lists the calls it
+builds, which ``validate`` checks against the procedures.  ``one_line``
+is the one instruction printer, for traces and oracle reports.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ from typing import (
 )
 
 from .paths import CURRENT, NAME, Path, dot_count, render, var
-
-KEYWORDS = {
-    "skip", "forget", "create", "cut", "then", "else", "end",
-    "loop", "iterate", "call", "procedure", "Current",
-}
 
 LEVELS = ("e0", "e1", "e2")
 
@@ -241,13 +238,12 @@ class Procedure(Record):
 
 
 class ProgramFacts(NamedTuple):
-    """What the analyses and the validator read off a program, none of it
-    depending on the analysis mode or the dot budget."""
+    """What the analyses read off a program, none of it depending on the
+    analysis mode or the dot budget."""
 
     expressions: FrozenSet[Path]  # every path written in the program, plus Current
     max_dots: int  # the most dots in one of them
     costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
-    calls: Tuple["Call", ...]  # every call, in source order
 
 
 MAIN = "Main"  # the procedure a program runs
@@ -266,15 +262,13 @@ class Program(Record):
         object.__setattr__(self, "_by_name", {p.name: p for p in procedures})
         expressions: Set[Path] = {CURRENT}
         costs: Dict[str, int] = {}
-        calls: List[Call] = []
         for proc in procedures:
             expressions.update(var(f) for f in proc.formals)
-            costs[proc.name] = 1 + _scan(proc.body, expressions, calls)
+            costs[proc.name] = 1 + _scan(proc.body, expressions)
         object.__setattr__(self, "facts", ProgramFacts(
             expressions=frozenset(expressions),
             max_dots=max(dot_count(e) for e in expressions),
             costs=costs,
-            calls=tuple(calls),
         ))
 
     def procedure(self, name: str) -> Procedure:
@@ -284,9 +278,8 @@ class Program(Record):
             raise SourceError(f"undefined procedure {name!r}") from None
 
 
-def _scan(body: Sequence[Instruction], expressions: Set[Path], calls: List[Call]) -> int:
-    """Add body's paths to expressions and its calls, in source order, to
-    calls; return its deepest block nesting."""
+def _scan(body: Sequence[Instruction], expressions: Set[Path]) -> int:
+    """Add body's paths to expressions; return its deepest block nesting."""
     deepest = 0
     for ins in body:
         if isinstance(ins, Assign):
@@ -298,13 +291,12 @@ def _scan(body: Sequence[Instruction], expressions: Set[Path], calls: List[Call]
             expressions.add(ins.left)
             expressions.add(ins.right)
         elif isinstance(ins, Call):
-            calls.append(ins)
             if ins.qualifier:
                 expressions.add(ins.qualifier)
             expressions.update(ins.args)
         else:
             for _, block in _blocks(ins):
-                deepest = max(deepest, 1 + _scan(block, expressions, calls))
+                deepest = max(deepest, 1 + _scan(block, expressions))
     return deepest
 
 
@@ -408,20 +400,21 @@ class Positions:
 _SEPARATORS = frozenset(("\n", ";"))
 _ELSE = frozenset(("else",))
 _END = frozenset(("end",))
-_NOT_PATH = KEYWORDS - {"Current"}
 
 
 class Parser:
     """Recursive descent over the token texts of a text.  Each rule takes
     the index of its first token and returns what it read with the index
     after it.  Only an error looks a position up; a procedure or call
-    keeps a deferred lookup of its keyword's."""
+    keeps a deferred lookup of its keyword's.  ``calls`` holds every call
+    read so far, in source order, for ``validate``."""
 
     def __init__(self, text: str, level: str):
         self.toks = tokenize(text)
         self.position = Positions(text)
         self.level = level
         self.depth = 0  # then/loop/iterate blocks open at the current token
+        self.calls: List[Call] = []
 
     def error(self, message: str, i: int) -> SourceError:
         return SourceError(message, *self.position(i))
@@ -551,7 +544,9 @@ class Parser:
                 raise self.expected("')' after call arguments", j)
             j += 1
             args = tuple(arg_list)
-        return Call(target[:-1], target[-1], args, pos=partial(self.position, i)), j
+        ins = Call(target[:-1], target[-1], args, pos=partial(self.position, i))
+        self.calls.append(ins)
+        return ins, j
 
     def block(self, i: int) -> Tuple[Instruction, int]:
         """A then, loop or iterate block, from its keyword to its 'end'."""
@@ -629,7 +624,7 @@ class Parser:
         else:
             body, _ = self.statements(frozenset(), i)
             prog = Program((Procedure(MAIN, (), body),), level=level)
-        validate(prog)
+        validate(prog, self.calls)
         return prog
 
 
@@ -640,6 +635,8 @@ _STATEMENTS: Dict[str, Callable[[Parser, int], Tuple[Instruction, int]]] = {
     "else": Parser.misplaced, "end": Parser.misplaced, "Current": Parser.misplaced,
     "procedure": Parser.misplaced,
 }
+KEYWORDS = frozenset(_STATEMENTS)  # no name or procedure may be one of them
+_NOT_PATH = KEYWORDS - {"Current"}
 
 
 def parse(text: str, level: str = "e2") -> Program:
@@ -665,10 +662,11 @@ def instructions_of(prog: Program) -> Iterator[Instruction]:
         yield from _walk(proc.body)
 
 
-def validate(prog: Program) -> None:
-    """Whole-program checks: distinct procedure names, main shape, call
-    targets and arity, each reported at the declaration or call at fault
-    (a missing main at the first declaration; calls in source order).
+def validate(prog: Program, calls: Sequence[Call]) -> None:
+    """Whole-program checks: distinct procedure names, main shape, and the
+    target and arity of each of prog's calls, given in source order, each
+    reported at the declaration or call at fault (a missing main at the
+    first declaration).
     The level fences are the parser's: it rejects each form above the
     tier at the token that introduces it."""
     seen: Set[str] = set()
@@ -682,7 +680,7 @@ def validate(prog: Program) -> None:
     main = prog.procedure(MAIN)
     if main.formals:
         raise SourceError(f"{MAIN!r} must not take arguments", *main.pos)
-    for ins in prog.facts.calls:
+    for ins in calls:
         try:
             callee = prog.procedure(ins.proc)
         except SourceError as exc:
@@ -696,7 +694,7 @@ def validate(prog: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer
+# Instruction printer
 # ---------------------------------------------------------------------------
 
 def _blocks(ins: Instruction) -> Tuple[Tuple[str, Sequence[Instruction]], ...]:
@@ -732,40 +730,3 @@ def one_line(ins: Instruction) -> str:
             return f"call {target} ({', '.join(render(a) for a in ins.args)})"
         return f"call {target}"
     raise TypeError(f"unknown instruction {ins!r}")  # pragma: no cover
-
-
-def _fmt_ins(ins: Instruction, indent: int, out: List[str]) -> None:
-    pad = "  " * indent
-    blocks = _blocks(ins)
-    if not blocks:
-        out.append(pad + one_line(ins))
-        return
-    for keyword, body in blocks:
-        out.append(pad + keyword)
-        for sub in body:
-            _fmt_ins(sub, indent + 1, out)
-    out.append(pad + "end")
-
-
-def pretty(prog: Program) -> str:
-    """Source text that parses back to the same AST."""
-    out: List[str] = []
-    implicit_main = (
-        len(prog.procedures) == 1
-        and prog.procedures[0].name == MAIN
-        and not prog.procedures[0].formals
-        and prog.level == "e0"
-    )
-    if implicit_main:
-        for ins in prog.procedures[0].body:
-            _fmt_ins(ins, 0, out)
-    else:
-        for proc in prog.procedures:
-            header = f"procedure {proc.name}"
-            if proc.formals:
-                header += f" ({', '.join(proc.formals)})"
-            out.append(header)
-            for ins in proc.body:
-                _fmt_ins(ins, 1, out)
-            out.append("end")
-    return "\n".join(out) + "\n"

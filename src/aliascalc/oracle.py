@@ -13,23 +13,26 @@ nondeterministic choices taken, kept only as a witness for reports.
 The interpreter enumerates executions, deduplicating on everything except
 the trail, and runs each loop to the fixpoint of its executions.  Only the
 cap ``MAX_PATHS`` on the number of executions can cut the enumeration
-short; a run it truncated is reported as bounded.
+short; a run it truncated is reported as bounded.  A run starts from every
+state an initial may relation allows: each way of sharing objects among
+variables that it pairs.
 
 The soundness check compares, for every final execution, the aliasing in
-the concrete state against the analysis result: every concrete alias pair
-must be predicted.  Executions with violated cut assumptions are excluded
-from that containment check — the analysis was explicitly told those two
-expressions were distinct, so it owes nothing on such runs — but they are
-reported, and they still participate in validating the guaranteed-set of
-modified variables.
+the concrete state against the analysis result from the same initial
+relation: every concrete alias pair must be predicted.  Executions with
+violated cut assumptions are excluded from that containment check — the
+analysis was explicitly told those two expressions were distinct, so it
+owes nothing on such runs — but they are reported, and they still
+participate in validating the guaranteed-set of modified variables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import relations as rel
-from .engine import Analysis
+from .engine import Analysis, AnalysisConfig
 from .lang import (
     Assign,
     Call,
@@ -85,6 +88,39 @@ def initial_state(variables: Iterable[str]) -> ConcreteState:
     return _mk_state({v: i for i, v in enumerate(variables)})
 
 
+def start_states(variables: FrozenSet[str], init: Relation) -> Iterator[ConcreteState]:
+    """Every state with all of variables defined that init allows: one
+    per partition of them into blocks whose members init pairs with one
+    another, the all-distinct state first.  Only variables init pairs with
+    another of them are ever merged, so an empty init yields that one
+    state and walks no partition.  Blocks are built on an explicit stack,
+    so a large clique in init does not recurse."""
+    partners: Dict[str, Set[str]] = {}
+    for e, f in init:
+        if len(e) == len(f) == 1 and e[0] in variables and f[0] in variables:
+            partners.setdefault(e[0], set()).add(f[0])
+            partners.setdefault(f[0], set()).add(e[0])
+    merged = sorted(partners)
+    base = initial_state(variables).value_map()
+    stack: List[Tuple[Tuple[str, ...], ...]] = [()]
+    while stack:
+        blocks = stack.pop()
+        placed = sum(map(len, blocks))
+        if placed == len(merged):
+            values = dict(base)
+            for block in blocks:
+                for v in block[1:]:
+                    values[v] = values[block[0]]
+            yield _mk_state(values)
+            continue
+        v = merged[placed]
+        stack.extend(reversed([
+            blocks[:i] + (block + (v,),) + blocks[i + 1:]
+            for i, block in enumerate(blocks) if partners[v].issuperset(block)
+        ]))
+        stack.append(blocks + ((v,),))  # popped first: v in a block of its own
+
+
 class Execution(Record):
     __slots__ = ("state", "assigned", "cut_violations", "trail")
 
@@ -113,15 +149,18 @@ def _exec_set(executions: Iterable[Execution]) -> ExecSet:
     return out
 
 
-def aliases_of(state: ConcreteState) -> Relation:
-    """The alias relation a concrete state induces: distinct defined
-    variables holding the same address."""
+def _shared(state: ConcreteState) -> List[List[str]]:
+    """The variables holding each address that more than one holds."""
     by_addr: Dict[int, List[str]] = {}
     for name, addr in state.values:
         by_addr.setdefault(addr, []).append(name)
-    return rel.from_cliques(
-        [[var(n) for n in group] for group in by_addr.values() if len(group) > 1]
-    )
+    return [group for group in by_addr.values() if len(group) > 1]
+
+
+def aliases_of(state: ConcreteState) -> Relation:
+    """The alias relation a concrete state induces: distinct defined
+    variables holding the same address."""
+    return rel.from_cliques([[var(n) for n in group] for group in _shared(state)])
 
 
 def program_variables(program: Program) -> FrozenSet[str]:
@@ -230,6 +269,13 @@ def _mark(ex: Execution, token: str) -> Execution:
     return Execution(ex.state, ex.assigned, ex.cut_violations, ex.trail + (token,))
 
 
+def _start(state: ConcreteState) -> Execution:
+    """An execution at a start state; one that shares objects begins its
+    witness trail with them, as in ``start {x, y}``."""
+    shared = " ".join("{" + ", ".join(group) + "}" for group in _shared(state))
+    return Execution(state, trail=(f"start {shared}",) if shared else ())
+
+
 class RunResult:
     def __init__(self, executions: List[Execution], bounded: bool, truncated: bool):
         self.executions = executions
@@ -237,13 +283,15 @@ class RunResult:
         self.truncated = truncated
 
 
-def run_program(program: Program) -> RunResult:
-    """All final executions of the main body from the canonical initial
-    state (every variable defined, addresses pairwise distinct)."""
+def run_program(program: Program, init: Relation = rel.EMPTY) -> RunResult:
+    """All final executions of the main body from every start state init
+    allows (``start_states``); an empty init allows only the all-distinct
+    one.  The starts count against ``MAX_PATHS`` like any execution set."""
     ensure_base_tier(program)
     interp = Interpreter()
-    start = Execution(initial_state(program_variables(program)))
-    final = interp.run_body(_exec_set([start]), program.procedure(MAIN).body)
+    starts = islice(start_states(program_variables(program), init), MAX_PATHS + 1)
+    execs = interp._clamp(_exec_set(map(_start, starts)))
+    final = interp.run_body(execs, program.procedure(MAIN).body)
     return RunResult(
         executions=list(final.values()),
         bounded=interp.truncated,
@@ -284,16 +332,20 @@ def _trail_text(ex: Execution) -> str:
     return ",".join(ex.trail) if ex.trail else "straight-line"
 
 
-def check_soundness(program: Program) -> SoundnessReport:
-    """Compare enumerated concrete aliasing against the may analysis's result.
+def check_soundness(program: Program, init: Relation = rel.EMPTY,
+                    max_dots: Optional[int] = None) -> SoundnessReport:
+    """Compare enumerated concrete aliasing against the may analysis's
+    result, both from init: the runs start from every state init allows,
+    and the analysis is the one ``--output relation`` prints for the same
+    init and dot budget (None: derived as ``resolve_max_dots`` does).
 
     Reports three kinds of problem lines: concrete alias pairs the analysis
     missed (real soundness violations), cut assumptions that some execution
     falsifies, and guaranteed-modified variables that some execution never
     assigned.
     """
-    run = run_program(program)
-    analysis = Analysis(program)
+    run = run_program(program, init)
+    analysis = Analysis(program, AnalysisConfig(max_dots=max_dots), init)
     computed = analysis.run().relation
     report = SoundnessReport(len(run.executions), run.bounded, computed)
     guaranteed = sorted(

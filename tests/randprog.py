@@ -6,6 +6,9 @@ the ``random.Random`` instance, so a failing case can always be replayed
 from its seed.  ``allow`` selects which instruction forms may appear; the
 property suites use it to carve out the sub-corpora some laws require
 (e.g. straight-line programs, or programs without ``forget``).
+``pretty`` prints a program as source text that parses back to it, so a
+generated program can be shown, replayed through ``alias-calc`` and
+digested.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from aliascalc.lang import (
     Program,
     Repeat,
     Skip,
+    _blocks,
     _walk,
+    one_line,
 )
 from aliascalc.paths import var
 
@@ -146,3 +151,40 @@ def with_calls(rng: random.Random) -> Program:
         loop = Loop(body=body[-1:] + (Call((), rng.choice(names[1:])),))
         procs.append(Procedure(name=name, formals=(), body=body + (branch, loop)))
     return Program(procedures=tuple(procs), level="e1")
+
+
+def _fmt_ins(ins: Instruction, indent: int, out: List[str]) -> None:
+    pad = "  " * indent
+    blocks = _blocks(ins)
+    if not blocks:
+        out.append(pad + one_line(ins))
+        return
+    for keyword, body in blocks:
+        out.append(pad + keyword)
+        for sub in body:
+            _fmt_ins(sub, indent + 1, out)
+    out.append(pad + "end")
+
+
+def pretty(prog: Program) -> str:
+    """Source text that parses back to the same AST."""
+    out: List[str] = []
+    implicit_main = (
+        len(prog.procedures) == 1
+        and prog.procedures[0].name == MAIN
+        and not prog.procedures[0].formals
+        and prog.level == "e0"
+    )
+    if implicit_main:
+        for ins in prog.procedures[0].body:
+            _fmt_ins(ins, 0, out)
+    else:
+        for proc in prog.procedures:
+            header = f"procedure {proc.name}"
+            if proc.formals:
+                header += f" ({', '.join(proc.formals)})"
+            out.append(header)
+            for ins in proc.body:
+                _fmt_ins(ins, 1, out)
+            out.append("end")
+    return "\n".join(out) + "\n"

@@ -6,7 +6,7 @@ from collections import Counter, deque
 
 import pytest
 from conftest import fixture_init, load_gen, read_program
-from randprog import random_program, with_calls
+from randprog import pretty, random_program, with_calls
 from test_paths import reduced
 from test_relations import ref_subst
 
@@ -22,7 +22,7 @@ from aliascalc.engine import (
 )
 from aliascalc.lang import (
     KEYWORDS, MAIN, Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, instructions_of,
-    parse, pretty,
+    parse,
 )
 from aliascalc.paths import (
     NEG_MARK, concat, dot_count, has_negation, negate_segment, negation, parse_path, var,

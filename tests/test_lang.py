@@ -7,6 +7,7 @@ import time
 import pytest
 from conftest import ROOT, load_gen, read_program
 from hypothesis import given, settings, strategies as st
+from randprog import pretty
 
 from aliascalc import lang
 from aliascalc.lang import (
@@ -26,7 +27,6 @@ from aliascalc.lang import (
     instructions_of,
     iterate,
     parse,
-    pretty,
     tokenize,
 )
 from aliascalc.paths import parse_path, var

@@ -7,6 +7,7 @@ from conftest import read_program
 from randprog import random_program
 
 from aliascalc import cli, oracle
+from aliascalc.engine import analyze
 from aliascalc.lang import MAIN, Assign, Create, Forget, parse
 from aliascalc.oracle import (
     ConcreteState,
@@ -332,6 +333,30 @@ def test_cli_soundness_exits_3_on_a_missed_alias(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("violation: concrete alias [x, y]")
 
 
+def test_soundness_runs_from_every_start_init_allows(tmp_path, capsys):
+    # {x,y} allows x and y to start apart or together: the then-branch from
+    # each start, and the else-branch from the one where they are apart
+    # (from the other it ends in the same state as the then-branch).
+    text = "then z := x else z := y end\n"
+    source = tmp_path / "branch.e0"
+    source.write_text(text)
+    argv = [str(source), "--level", "e0", "--init", "{x,y}", "--output", "soundness"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "checked 3 paths, 0 violations, bounded: no\n"
+    program, init = parse(text, level="e0"), lit("{x,y}")
+    assert check_soundness(program, init).computed == analyze(program, init).relation
+
+
+def test_a_start_set_past_the_cap_is_bounded():
+    # One clique of 12 variables allows Bell(12), over 4 million, starts.
+    names = "abcdefghijkl"
+    program = parse(" ; ".join(f"{a} := {b}" for a, b in zip(names[::2], names[1::2])),
+                    level="e0")
+    rep = check_soundness(program, lit("{" + ",".join(names) + "}"))
+    assert rep.bounded and rep.paths <= oracle.MAX_PATHS
+    assert rep.render().endswith(", 0 violations, bounded: yes")
+
+
 def test_soundness_over_mixed_flow_fixture():
     rep = check_soundness(parse(read_program("mixed_flow.e0"), level="e0"))
     # The two cuts in the program are genuinely violated on some paths,
@@ -403,7 +428,8 @@ class ReferenceInterpreter(Interpreter):
         return seen
 
 
-def reference_run_program(program, unroll=4):
+def reference_run_program(program, init=EMPTY, unroll=4):
+    assert init == EMPTY  # the reference starts only from the all-distinct state
     ensure_base_tier(program)
     interp = ReferenceInterpreter(unroll)
     names = sorted(program_variables(program))

@@ -20,8 +20,9 @@ import random
 import re
 
 from conftest import ROOT, load_gen
+from randprog import pretty
 
-from aliascalc.lang import LEVELS, Call, SourceError, instructions_of, parse, pretty
+from aliascalc.lang import LEVELS, Call, SourceError, instructions_of, parse
 
 GOLDEN = os.path.join(ROOT, "tests", "golden", "parse_outcomes.json")
 

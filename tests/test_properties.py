@@ -12,7 +12,7 @@ import random
 import subprocess
 import sys
 
-from randprog import ALL_FORMS, STRAIGHT_LINE, random_program, with_calls
+from randprog import ALL_FORMS, STRAIGHT_LINE, pretty, random_program, with_calls
 from test_paths import reduced
 
 from aliascalc.engine import AnalysisConfig, analyze
@@ -26,7 +26,6 @@ from aliascalc.lang import (
     Repeat,
     instructions_of,
     parse,
-    pretty,
 )
 from aliascalc.oracle import check_soundness
 from aliascalc.paths import parse_path, render, var
@@ -268,8 +267,7 @@ def test_generator_is_independent_of_hash_seed():
     # the same programs in every process, or failures would not replay.
     script = (
         "import random\n"
-        "from aliascalc.lang import pretty\n"
-        "from randprog import random_program\n"
+        "from randprog import pretty, random_program\n"
         "rng = random.Random(0)\n"
         "for _ in range(50):\n"
         "    print(pretty(random_program(rng)))\n"
@@ -294,8 +292,6 @@ def test_generator_respects_allow():
 
 
 def test_generator_programs_parse_back():
-    from aliascalc.lang import pretty
-
     for prog in corpus(100):
         assert parse(pretty(prog), level="e0") == prog
 
