@@ -91,7 +91,7 @@ from .lang import (
     iterate,
     one_line,
 )
-from .paths import concat, dot_count, has_negation, negation
+from .paths import CURRENT, concat, dot_count, has_negation, negation
 from .relations import Relation
 
 Recorder = Callable[[str, Relation], None]
@@ -389,7 +389,8 @@ class Analysis:
         lookups of each key's last evaluation.  ``rounds`` is the most
         evaluations of any single key: 1 when no exit is ever revised, as
         in every program without recursion."""
-        root = (MAIN, rel.bound_filter(self.init, self.max_dots))
+        # Shifting by Current only drops the pairs over the dot budget.
+        root = (MAIN, rel.prefix_relation(self.init, CURRENT, self.max_dots))
         self.summary(self.program.procedure(MAIN), root[1])  # creates and queues the root key
         while self.queue:
             self.evaluate(self.queue.popleft())

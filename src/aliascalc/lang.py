@@ -55,8 +55,8 @@ LEVELS = ("e0", "e1", "e2")
 MAX_NESTING = 100
 
 # Most segments of a written path, ``Current`` not counted.  Completing a
-# dotted source recurses once per segment; a path at the limit stays inside
-# the recursion limit even under MAX_NESTING blocks or nested calls.
+# dotted source of n segments fills a table of at most n(n+1)/2 sub-paths,
+# so the limit bounds that table; nothing recurses on a path's length.
 MAX_SEGMENTS = 256
 
 

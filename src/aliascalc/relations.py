@@ -23,7 +23,7 @@ Two ideas deserve a note up front:
   ``x := x.a`` from aliasing ``x`` to ``x.a``.  A split-free source
   (``Current`` or a plain variable) has only its stored partners, so
   ``subst`` collects them in the same scan that finds ``x``'s old pairs
-  instead of building the quotient's closure.
+  instead of filling the quotient's completion table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 from .paths import (
     Path,
     concat,
-    dot_count,
     parse_path,
     render,
 )
@@ -89,15 +88,6 @@ def restrict(a: Relation, name: str) -> Relation:
     return a.difference(dropped) if dropped else a
 
 
-def bound_filter(a: Relation, max_dots: int) -> Relation:
-    """Drop pairs whose elements use more dots than allowed."""
-    return frozenset(
-        (e, f)
-        for e, f in a
-        if dot_count(e) <= max_dots and dot_count(f) <= max_dots
-    )
-
-
 def prefix_relation(a: Relation, prefix: Path, max_dots: int) -> Relation:
     """Re-root every element of a under a prefix (the ``x •`` view shift).
 
@@ -131,11 +121,12 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
     y itself, its stored partners, and every recombination of a split of
     y with partners of the two halves.
 
-    The recursion is on path length (splits are strictly shorter), with a
-    memo over the sub-paths.  A split of a contiguous sub-path of y is again
-    one, so only their stored partners are ever needed, and one scan of the
-    relation collects them; when it finds none for a proper sub-path, the
-    quotient is y and its own partners.  ``max_dots`` is nonnegative.
+    A split of a contiguous sub-path of y is again one, so only their
+    stored partners are ever needed, and one scan of the relation collects
+    them; when it finds none for a proper sub-path, the quotient is y and
+    its own partners.  Otherwise a table holds each distinct sub-path's
+    completion, filled shortest first, so both halves of every split are
+    already in it.  ``max_dots`` is nonnegative.
     """
     n = len(y)
     needed = {y[i:j] for i in range(n) for j in range(i + 1, n + 1)}
@@ -150,32 +141,24 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
         # No proper sub-path has a partner, so no split recombines.
         return frozenset(partners.get(y, ())) | {y}
     limit = max_dots + 1
-    memo: Dict[Path, Set[Path]] = {}
-
-    def closure(e: Path) -> Set[Path]:
-        cached = memo.get(e)
-        if cached is not None:
-            return cached
-        out: Set[Path] = {e}
-        out.update(partners.get(e, ()))
-        if len(e) >= 2:
-            for k in range(1, len(e)):
+    table: Dict[Path, Set[Path]] = {}
+    for size in range(1, n + 1):
+        for i in range(n - size + 1):
+            e = y[i : i + size]
+            if e in table:
+                continue
+            out = table[e] = {e}
+            out.update(partners.get(e, ()))
+            for k in range(1, size):
                 h, t = e[:k], e[k:]
-                heads = closure(h)
-                tails = closure(t)
-                for h2 in heads:
-                    for t2 in tails:
+                for h2 in table[h]:
+                    for t2 in table[t]:
                         if h2 == h and t2 == t:
                             continue
                         cand = concat(h2, t2)
-                        if cand == e:
-                            continue
-                        if len(cand) <= limit:
+                        if cand != e and len(cand) <= limit:
                             out.add(cand)
-        memo[e] = out
-        return out
-
-    return frozenset(closure(y))
+    return frozenset(table[y])
 
 
 def subst(a: Relation, x: Path, y: Path, max_dots: int) -> Relation:

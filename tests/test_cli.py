@@ -553,9 +553,9 @@ def test_path_beyond_limit_is_a_diagnostic(capsys, monkeypatch):
 
 
 def test_path_at_limit_analyses_inside_the_deepest_nesting(capsys, monkeypatch):
-    # Completing the source recurses once per segment, on top of the
-    # frames of the blocks or calls around it: 100 nested iterate blocks,
-    # and 50 nested calls that each sit in an iterate block.
+    # A source at the segment limit completes inside the deepest nesting
+    # the parser accepts: 100 nested iterate blocks, and 50 nested calls
+    # that each sit in an iterate block.
     source = "x" + ".a" * (MAX_SEGMENTS - 1)
     n = MAX_NESTING
     calls = ["procedure Main\n  call p1\nend"]

@@ -231,7 +231,7 @@ class RoundRobin(Analysis):
 
     def run(self):
         main = self.program.procedure(MAIN)
-        root = (main.name, rel.bound_filter(self.init, self.max_dots))
+        root = (main.name, rel.prefix_relation(self.init, (), self.max_dots))
         self.summary(main, root[1])
         for _ in range(MAX_ROUNDS):
             before = len(self.table)
@@ -568,9 +568,10 @@ def test_memo_cuts_repeated_view_shifts(monkeypatch):
     name = "linked_lists.e2"
     # Pairs carried around a qualified call never reach its entry key, so
     # contexts that differ only in them share one entry and one shift.
-    assert counted_calls(monkeypatch, "prefix_relation", fixture_analysis(name, "may")) == 18
+    # Main's entry is one more shift, by Current, in both counts.
+    assert counted_calls(monkeypatch, "prefix_relation", fixture_analysis(name, "may")) == 19
     assert counted_calls(
-        monkeypatch, "prefix_relation", fixture_analysis(name, "may", NoMemo)) == 24
+        monkeypatch, "prefix_relation", fixture_analysis(name, "may", NoMemo)) == 25
 
 
 def lookups(analysis):
@@ -680,7 +681,7 @@ class OldFrame(Analysis):
         key = (id(ins), a)
         entry = self.memo.get(key)
         if entry is None:
-            inside = rel.prefix_relation(a, back, self.max_dots)
+            inside = rel.prefix_relation(a, back, self.entry_budget(target))
             entry = self.memo[key] = rel.subst_list(
                 inside,
                 [(f,) for f in proc.formals],
@@ -701,6 +702,9 @@ class OldFrame(Analysis):
                 and not has_negation(e) and not has_negation(f)
             )
         return out
+
+    def entry_budget(self, target):
+        return self.max_dots
 
 
 GEN = load_gen()
@@ -794,7 +798,7 @@ def test_raising_the_dot_budget_reveals_only_the_known_missed_pairs():
         found = {k: Analysis(program, AnalysisConfig(max_dots=k), init).run().relation
                  for k in (3, 4, 5)}
         failures += [(seed, k) for k in (3, 4)
-                     if not rel.bound_filter(found[k + 1], k) <= found[k]]
+                     if not rel.prefix_relation(found[k + 1], (), k) <= found[k]]
     assert failures == NON_MONOTONE
 
 
@@ -808,6 +812,33 @@ def test_formal_copy_keeps_a_deep_partner_of_the_actual():
     text = "procedure Main\n  call a.p (b)\nend\nprocedure p (c)\n  b := c\nend\n"
     out = run(text, init="{b,d.right.right.right}").relation
     assert make_pair(parse_path("a.b"), parse_path("d.right.right.right")) in out
+
+
+class WholeRelation(OldFrame):
+    """The qualified-call rule without the frame split: OldFrame's route,
+    with the entry budget of the split, which allows for the len(target)
+    dots the shift adds."""
+
+    def entry_budget(self, target):
+        return self.max_dots + len(target)
+
+
+@pytest.mark.xfail(strict=True, reason="the exit cleaning drops a negated pair the split carries")
+def test_splitting_off_the_carried_pairs_is_only_an_optimization():
+    # By the frame rule, the pairs the split carries around a qualified
+    # call would come back unchanged through the callee.  The split keeps
+    # {a.item, d.b}: one pass through the then branch sets d.b to a.item.
+    # Sent through the inner call d.p0, the pair {c, d'.a.item} of d's
+    # frame comes back with its negated segment, and the exit cleaning
+    # drops it.
+    text = (
+        "procedure Main\n  b := d\n  call p0 (a)\nend\n"
+        "procedure p0 (c)\n  then\n    call d.p0 (a.item)\n    b := c\n"
+        "  else\n    cut a, a\n  end\nend\n"
+    )
+    program = parse(text)
+    want = Analysis(program, AnalysisConfig()).run().relation
+    assert WholeRelation(program, AnalysisConfig()).run().relation == want
 
 
 # (mode, dot budget): summary keys, result pairs and the first 16 hex digits
@@ -852,6 +883,12 @@ def workload_program(seed):
     return GEN.interproc_program(rng, level, (12, 6)[kind]), level
 
 
+def on_dotted_targets(text):
+    """text with every call qualified by a variable v qualified by v.first
+    instead, so that returning from it cancels two segment pairs."""
+    return re.sub(r"call ([a-z]+)\.(p\d)", r"call \1.first.\2", text)
+
+
 def test_every_relation_an_analysis_builds_holds_reduced_paths():
     # paths.concat cancels only at the junction, which is exact only while
     # every operand is reduced.  The callee-frame relations of qualified
@@ -866,7 +903,8 @@ def test_every_relation_an_analysis_builds_holds_reduced_paths():
     for seed in range(90):
         if seed % 3:  # the two e2 kinds
             text, level = workload_program(seed)
-            analyses += [Analysis(parse(text, level=level), AnalysisConfig(mode))
+            analyses += [Analysis(parse(source, level=level), AnalysisConfig(mode))
+                         for source in {text, on_dotted_targets(text)}
                          for mode in ("may", "must")]
     negated = 0
     for analysis in analyses:
@@ -902,16 +940,18 @@ def test_renaming_identifiers_renames_every_summary():
     # result that leaned on name order would change here.
     for seed in range(150):
         text, level = workload_program(seed)
-        other, mapping = renamed(text)
-        for mode in ("may", "must"):
-            config = AnalysisConfig(mode, 3)
-            want = Analysis(parse(text, level=level), config)
-            got = Analysis(parse(other, level=level), config)
-            assert renamed_relation(want.run().relation, mapping) == got.run().relation, seed
-            assert got.table == {
-                (mapping[name], renamed_relation(entry, mapping)): renamed_relation(exit, mapping)
-                for (name, entry), exit in want.table.items()
-            }, seed
+        for source in {text, on_dotted_targets(text)}:
+            other, mapping = renamed(source)
+            for mode in ("may", "must"):
+                config = AnalysisConfig(mode, 3)
+                want = Analysis(parse(source, level=level), config)
+                got = Analysis(parse(other, level=level), config)
+                assert renamed_relation(want.run().relation, mapping) == got.run().relation, seed
+                assert got.table == {
+                    (mapping[name], renamed_relation(entry, mapping)):
+                        renamed_relation(exit, mapping)
+                    for (name, entry), exit in want.table.items()
+                }, seed
 
 
 def test_a_larger_initial_relation_never_removes_a_pair():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aliascalc import relations as rel
+from aliascalc.lang import MAX_SEGMENTS
 from aliascalc.paths import concat, dot_count, parse_path, render, var
 from aliascalc.relations import (
     EMPTY,
-    bound_filter,
     canonical,
     cut_pair,
     elements,
@@ -66,7 +66,7 @@ seed_paths = st.lists(
 def test_universal_over_the_paths_within_a_budget_is_the_must_seed(paths, k):
     # The must-mode seed used to be the universal relation cut down to the
     # budget; it is now built from the paths within the budget only.
-    want = bound_filter(from_cliques([paths]), k)
+    want = prefix_relation(from_cliques([paths]), (), k)
     assert universal(p for p in paths if dot_count(p) <= k) == want
 
 
@@ -106,18 +106,16 @@ def test_restrict_matches_head_segment_only():
     assert out == from_cliques([(parse_path("z.x"), parse_path("y"))])
 
 
-def test_bound_filter():
-    a = from_cliques([
-        (parse_path("x.a.b"), parse_path("y")),
-        (parse_path("x.a"), parse_path("y")),
-    ])
-    assert bound_filter(a, 1) == from_cliques([(parse_path("x.a"), parse_path("y"))])
-
-
 def test_prefix_relation():
     a = from_cliques([(var("e"), var("f"))])
     out = prefix_relation(a, var("x"), 3)
     assert out == from_cliques([(parse_path("x.e"), parse_path("x.f"))])
+    # Shifting by Current only drops the pairs over the budget.
+    a = from_cliques([
+        (parse_path("x.a.b"), parse_path("y")),
+        (parse_path("x.a"), parse_path("y")),
+    ])
+    assert prefix_relation(a, (), 1) == from_cliques([(parse_path("x.a"), parse_path("y"))])
 
 
 def test_prefix_relation_inverts_negated_view():
@@ -191,6 +189,20 @@ def test_quotient_without_partners_of_a_proper_sub_path_visits_no_split(monkeypa
     got, calls = python_calls(quotient, a, long, 3)
     assert got == frozenset([long, var("u"), parse_path("v.b")])
     assert calls < 10
+
+
+def test_quotient_completes_a_source_at_the_segment_limit_without_recursion():
+    # The completion table is filled shortest sub-path first, so a source
+    # of MAX_SEGMENTS segments whose first one has a partner completes under
+    # a recursion limit only 60 frames above the caller's depth.
+    long = parse_path("x" + ".a" * (MAX_SEGMENTS - 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        got = quotient(lit("{x, u}"), long, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == frozenset([long])
 
 
 # -- substitution ---------------------------------------------------------------
