@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import sys
@@ -110,7 +111,11 @@ def test_prefix_relation():
     a = from_cliques([(var("e"), var("f"))])
     out = prefix_relation(a, var("x"), 3)
     assert out == from_cliques([(parse_path("x.e"), parse_path("x.f"))])
-    # Shifting by Current only drops the pairs over the budget.
+
+
+def test_bound_filter():
+    # Filtering to the budget is a shift by Current: it only drops the
+    # pairs over the budget.
     a = from_cliques([
         (parse_path("x.a.b"), parse_path("y")),
         (parse_path("x.a"), parse_path("y")),
@@ -156,18 +161,28 @@ def test_quotient_includes_dot_completions():
 
 
 def python_calls(fn, *args):
-    """fn(*args) and the number of Python-level function calls it made."""
+    """fn(*args) and the number of Python-level function calls it made.
+
+    The collector is flushed first and paused during the call: a collection
+    that finalizes other tests' garbage (closing a suspended generator, say)
+    runs Python code that would be counted as fn's.
+    """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return result, calls
 
 
