@@ -187,8 +187,8 @@ class Analysis:
             self._seed = rel.EMPTY
             self.combine = frozenset.union
         elif config.mode == "must":
-            self._seed = rel.universal(
-                e for e in facts.expressions if dot_count(e) <= self.max_dots
+            self._seed = rel.from_cliques(
+                [[e for e in facts.expressions if dot_count(e) <= self.max_dots]]
             )
             self.combine = frozenset.intersection
         else:

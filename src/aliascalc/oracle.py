@@ -10,8 +10,9 @@ plus what happened along the way: which variables were assigned, which
 aliased — ``cut`` itself never changes the state), and a trail of the
 nondeterministic choices taken, kept only as a witness for reports.
 
-The interpreter enumerates executions, deduplicating on everything except
-the trail, and runs each loop to the fixpoint of its executions.  Only the
+Executions compare on everything except the trail, so a set of them holds
+each outcome once, with the witness of the first run to reach it.  The
+interpreter runs each loop to the fixpoint of its executions.  Only the
 cap ``MAX_PATHS`` on the number of executions can cut the enumeration
 short; a run it truncated is reported as bounded.  A run starts from every
 state an initial may relation allows: each way of sharing objects among
@@ -60,27 +61,18 @@ from .relations import Relation
 MAX_PATHS = 20_000
 
 
-class ConcreteState(Record):
-    """values: sorted (variable, address) pairs, the addresses numbered
-    0, 1, ... in order of first reach.  Defined variables are exactly the
-    value keys."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Tuple[Tuple[str, int], ...]):
-        object.__setattr__(self, "values", values)
-
-    def value_map(self) -> Dict[str, int]:
-        return dict(self.values)
+# Sorted (variable, address) pairs, the addresses numbered 0, 1, ... in
+# order of first reach.  Defined variables are exactly the paired ones.
+ConcreteState = Tuple[Tuple[str, int], ...]
 
 
 def _mk_state(values: Dict[str, int]) -> ConcreteState:
     """The canonical state that shares objects as ``values`` does."""
     renumber: Dict[int, int] = {}
-    return ConcreteState(tuple(
+    return tuple(
         (name, renumber.setdefault(addr, len(renumber)))
         for name, addr in sorted(values.items())
-    ))
+    )
 
 
 def initial_state(variables: Iterable[str]) -> ConcreteState:
@@ -101,7 +93,7 @@ def start_states(variables: FrozenSet[str], init: Relation) -> Iterator[Concrete
             partners.setdefault(e[0], set()).add(f[0])
             partners.setdefault(f[0], set()).add(e[0])
     merged = sorted(partners)
-    base = initial_state(variables).value_map()
+    base = dict(initial_state(variables))
     stack: List[Tuple[Tuple[str, ...], ...]] = [()]
     while stack:
         blocks = stack.pop()
@@ -122,7 +114,11 @@ def start_states(variables: FrozenSet[str], init: Relation) -> Iterator[Concrete
 
 
 class Execution(Record):
+    """An outcome: state, assigned variables and violated cuts; the trail
+    is a witness only and takes no part in equality."""
+
     __slots__ = ("state", "assigned", "cut_violations", "trail")
+    _compared = ("state", "assigned", "cut_violations")
 
     def __init__(self, state: ConcreteState, assigned: FrozenSet[str] = frozenset(),
                  cut_violations: FrozenSet[str] = frozenset(), trail: Tuple[str, ...] = ()):
@@ -131,28 +127,17 @@ class Execution(Record):
         object.__setattr__(self, "cut_violations", cut_violations)
         object.__setattr__(self, "trail", trail)
 
-    def key(self):
-        """Identity for deduplication: everything but the witness trail."""
-        return (self.state, self.assigned, self.cut_violations)
 
-
-# Execution sets are insertion-ordered dicts keyed by Execution.key(), so
+# Execution sets are insertion-ordered sets of executions (dict keys), so
 # enumeration is reproducible regardless of hash randomization and two
 # routes to the same outcome are explored once (first witness kept).
-ExecSet = Dict[tuple, Execution]
-
-
-def _exec_set(executions: Iterable[Execution]) -> ExecSet:
-    out: ExecSet = {}
-    for ex in executions:
-        out.setdefault(ex.key(), ex)
-    return out
+ExecSet = Dict[Execution, None]
 
 
 def _shared(state: ConcreteState) -> List[List[str]]:
     """The variables holding each address that more than one holds."""
     by_addr: Dict[int, List[str]] = {}
-    for name, addr in state.values:
+    for name, addr in state:
         by_addr.setdefault(addr, []).append(name)
     return [group for group in by_addr.values() if len(group) > 1]
 
@@ -187,7 +172,7 @@ class Interpreter:
         if len(execs) <= MAX_PATHS:
             return execs
         self.truncated = True
-        return dict(list(execs.items())[:MAX_PATHS])
+        return dict.fromkeys(islice(execs, MAX_PATHS))
 
     def run_body(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
         out = execs
@@ -197,24 +182,21 @@ class Interpreter:
 
     def step(self, execs: ExecSet, ins: Instruction) -> ExecSet:
         if isinstance(ins, Cond):
-            then_in = _exec_set(_mark(ex, "then") for ex in execs.values())
-            else_in = _exec_set(_mark(ex, "else") for ex in execs.values())
+            then_in = dict.fromkeys(_mark(ex, "then") for ex in execs)
+            else_in = dict.fromkeys(_mark(ex, "else") for ex in execs)
             merged = self.run_body(then_in, ins.then_branch)
-            for key, ex in self.run_body(else_in, ins.else_branch).items():
-                merged.setdefault(key, ex)
+            merged.update(self.run_body(else_in, ins.else_branch))
             return self._clamp(merged)
         if isinstance(ins, Loop):
             return self.run_loop(execs, ins.body)
         if isinstance(ins, Repeat):
             return self.run_repeat(execs, ins)
-        return self._clamp(
-            _exec_set(self.step_one(ex, ins) for ex in execs.values())
-        )
+        return self._clamp(dict.fromkeys(self.step_one(ex, ins) for ex in execs))
 
     def step_one(self, ex: Execution, ins: Instruction) -> Execution:
         if isinstance(ins, Skip):
             return ex
-        values = ex.state.value_map()
+        values = dict(ex.state)
         if isinstance(ins, Cut):
             x, y = ins.left[0], ins.right[0]
             violations = ex.cut_violations
@@ -241,27 +223,26 @@ class Interpreter:
 
     def run_repeat(self, execs: ExecSet, ins: Repeat) -> ExecSet:
         """``ins.count`` passes of the body.  Which executions a pass yields,
-        and in what order, depends only on the keys of its input in order
-        (trails are carried along, never read), so the execution keys in
-        order are the cycle key.  The result has the executions of all
-        count passes; its witness trails are those of the shorter run that
-        reaches them."""
+        and in what order, depends only on the executions of its input in
+        order (trails are carried along, never read, and take no part in
+        equality), so the executions in order are the cycle key.  The
+        result has the executions of all count passes; its witness trails
+        are those of the shorter run that reaches them."""
         return iterate(lambda e: self.run_body(e, ins.body), execs, ins.count, key=list)
 
     def run_loop(self, execs: ExecSet, body: Sequence[Instruction]) -> ExecSet:
         """Exits after any number of iterations: runs the body on the
         executions not seen before until it yields none, which happens
-        because execution keys range over a finite set."""
-        seen = _exec_set(_mark(ex, "loop") for ex in execs.values())
+        because executions range over a finite set."""
+        seen = dict.fromkeys(_mark(ex, "loop") for ex in execs)
         frontier = seen
         while frontier:
-            fresh = {k: ex for k, ex in self.run_body(frontier, body).items()
-                     if k not in seen}
+            fresh = dict.fromkeys(ex for ex in self.run_body(frontier, body) if ex not in seen)
             seen.update(fresh)
             seen = self._clamp(seen)
             # What the cap dropped is not run again, or the loop could yield
             # it again on every pass.
-            frontier = {k: ex for k, ex in fresh.items() if k in seen}
+            frontier = dict.fromkeys(ex for ex in fresh if ex in seen)
         return seen
 
 
@@ -290,10 +271,10 @@ def run_program(program: Program, init: Relation = rel.EMPTY) -> RunResult:
     ensure_base_tier(program)
     interp = Interpreter()
     starts = islice(start_states(program_variables(program), init), MAX_PATHS + 1)
-    execs = interp._clamp(_exec_set(map(_start, starts)))
+    execs = interp._clamp(dict.fromkeys(map(_start, starts)))
     final = interp.run_body(execs, program.procedure(MAIN).body)
     return RunResult(
-        executions=list(final.values()),
+        executions=list(final),
         bounded=interp.truncated,
         truncated=interp.truncated,
     )

@@ -29,7 +29,7 @@ Two ideas deserve a note up front:
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .paths import (
@@ -52,16 +52,13 @@ def make_pair(e: Path, f: Path) -> Pair:
     return (e, f) if e <= f else (f, e)
 
 
-def from_cliques(cliques: Iterable[Sequence[Path]]) -> Relation:
-    """All-pairs closure of each group — the overline construction."""
-    out: Set[Pair] = set()
-    for group in cliques:
-        members = list(group)
-        for i, e in enumerate(members):
-            for f in members[i + 1 :]:
-                if e != f:
-                    out.add(make_pair(e, f))
-    return frozenset(out)
+def from_cliques(cliques: Iterable[Iterable[Path]]) -> Relation:
+    """All-pairs closure of each group — the overline construction; over
+    one group of every path, the complete relation (the must-mode top).
+    Sorting a group's distinct members orients every pair."""
+    return frozenset(chain.from_iterable(
+        combinations(sorted(set(group)), 2) for group in cliques
+    ))
 
 
 def elements(a: Relation) -> FrozenSet[Path]:
@@ -156,7 +153,7 @@ def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
                         if h2 == h and t2 == t:
                             continue
                         cand = concat(h2, t2)
-                        if cand != e and len(cand) <= limit:
+                        if len(cand) <= limit:
                             out.add(cand)
     return frozenset(table[y])
 
@@ -220,12 +217,6 @@ def cut_pair(a: Relation, e: Path, f: Path) -> Relation:
     if e == f:
         return a
     return a - {make_pair(e, f)}
-
-
-def universal(paths: Iterable[Path]) -> Relation:
-    """Complete relation over a finite universe (the must-mode top).
-    Sorting the distinct paths orients every pair."""
-    return frozenset(combinations(sorted(set(paths)), 2))
 
 
 # ---------------------------------------------------------------------------

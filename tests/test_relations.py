@@ -24,7 +24,6 @@ from aliascalc.relations import (
     subst,
     subst_list,
     to_assertion,
-    universal,
 )
 
 
@@ -53,14 +52,16 @@ def test_from_cliques():
     assert make_pair(var("a"), var("c")) in a
 
 
-def test_universal():
-    u = universal(paths_of("a", "b", "c"))
-    assert len(u) == 3
-    assert u == from_cliques([paths_of("a", "b", "c")])
-
-
 seed_paths = st.lists(
     st.lists(st.sampled_from(["a", "b", "x"]), max_size=4).map(tuple), max_size=8)
+
+
+@given(st.lists(seed_paths, max_size=4))
+def test_universal(groups):
+    # The one all-pairs builder: each two distinct members of a group,
+    # duplicates and Current among them, make one oriented pair.
+    want = {make_pair(e, f) for group in groups for e in group for f in group if e != f}
+    assert from_cliques(groups) == want
 
 
 @given(seed_paths, st.integers(0, 3))
@@ -68,7 +69,7 @@ def test_universal_over_the_paths_within_a_budget_is_the_must_seed(paths, k):
     # The must-mode seed used to be the universal relation cut down to the
     # budget; it is now built from the paths within the budget only.
     want = prefix_relation(from_cliques([paths]), (), k)
-    assert universal(p for p in paths if dot_count(p) <= k) == want
+    assert from_cliques([[p for p in paths if dot_count(p) <= k]]) == want
 
 
 def test_parse_render_roundtrip():
