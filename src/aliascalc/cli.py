@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import AnalysisConfig, analyze, resolve_max_dots
+from .engine import Analysis, AnalysisConfig
 from .lang import LEVELS, SourceError, parse
 from .paths import Path, render
 from .relations import canonical, parse_relation_literal, render_relation, to_assertion
@@ -138,26 +138,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report.render())
         return 3 if report.violation_count else 0
 
-    max_dots = resolve_max_dots(program, AnalysisConfig(max_dots=args.max_dots), init)
+    analysis = Analysis(program, AnalysisConfig(max_dots=args.max_dots), init)
 
     if args.output == "modvars":
         from .modvars import modified_vars
 
-        sets = modified_vars(program, max_dots)
+        sets = modified_vars(program, analysis.max_dots)
         for proc in program.procedures:
             members = ", ".join(sorted(render(p) for p in sets[proc.name]))
             print(f"{proc.name}: {members}" if members else f"{proc.name}:")
         return 0
 
-    result = analyze(program, init, AnalysisConfig(max_dots=max_dots),
-                     trace=(args.output == "trace"))
+    result = analysis.run_with_trace() if args.output == "trace" else analysis.run()
 
     if args.output == "relation":
         print(render_relation(result.relation))
     elif args.output == "trace":
         print(_render_trace(result.trace))
     elif args.output == "assertion":
-        print(to_assertion(result.relation, program.facts.expressions, max_dots))
+        print(to_assertion(result.relation, program.expressions, analysis.max_dots))
     elif args.output == "dot":
         print(emit_dot(canonical(result.relation)))
     return 0

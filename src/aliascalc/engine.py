@@ -61,9 +61,9 @@ that lookup is how the worklist learns which keys depend on which.
 What an analysis reads off the program itself — its expressions and their
 dot depth, and each procedure's nesting cost — depends on neither mode nor
 budget, so one walk reads it when the ``Program`` is built
-(``Program.facts``), and every analysis of it, as the may and must runs of
-one job, shares it.  Only the budget and the must seed, which depend on
-both, are set up per analysis.
+(``Program.expressions``, ``.max_dots`` and ``.costs``), and every analysis
+of it, as the may and must runs of one job, shares it.  Only the budget and
+the must seed, which depend on both, are set up per analysis.
 """
 
 from __future__ import annotations
@@ -130,19 +130,6 @@ class AnalysisResult:
         self.trace: List[TracePoint] = []
 
 
-def resolve_max_dots(program: Program, config: AnalysisConfig, init: Relation) -> int:
-    """The dot budget: explicit override, else deep enough for both the
-    program's own expressions and the caller-supplied initial relation,
-    and never less than 3 (matching the reference behaviour on the
-    list-manipulation examples)."""
-    if config.max_dots is not None:
-        return config.max_dots
-    depth = program.facts.max_dots
-    for e in rel.elements(init):
-        depth = max(depth, dot_count(e))
-    return max(depth, 3)
-
-
 class Analysis:
     """One analysis run over one program.
 
@@ -159,7 +146,7 @@ class Analysis:
     and loop passes; it lives as long as this object.  Instructions are
     keyed by identity, which holds for the program's own and for any body
     the caller keeps alive while it uses the analysis.  The nesting cost of
-    each procedure is read from ``program.facts``.
+    each procedure is read from ``program.costs``.
     """
 
     def __init__(self, program: Program, config: AnalysisConfig = AnalysisConfig(),
@@ -167,19 +154,23 @@ class Analysis:
         self.program = program
         self.config = config
         self.init = init
-        self.max_dots = resolve_max_dots(program, config, init)
+        # The dot budget: the override, else deep enough for both the
+        # program's own expressions and the initial relation, and never less
+        # than 3 (matching the reference behaviour on the list-manipulation
+        # examples).
+        self.max_dots = config.max_dots
+        if self.max_dots is None:
+            self.max_dots = max(3, program.max_dots, *(dot_count(e) for e in rel.elements(init)))
         self.table: Dict[Key, Relation] = {}
         self.calls: Dict[Key, Set[Key]] = {}
         self.queue: Deque[Key] = deque()
         self.evaluating: Optional[Key] = None
         self.evaluations: Dict[Key, int] = {}
-        self.rounds = 0
         # Nested evaluation recurses through the bodies on the evaluation
         # stack: each costs 1 plus its deepest block nesting, and their total
         # stays within the parser's fence, hence within the recursion limit.
         self.depth = 0
-        facts = program.facts
-        self._cost = facts.costs
+        self._cost = program.costs
         self.memo: Dict[Tuple[object, ...], Relation] = {}
         # combine merges the relations of two control-flow paths that meet:
         # their union in may mode, their intersection in must mode.
@@ -188,7 +179,7 @@ class Analysis:
             self.combine = frozenset.union
         elif config.mode == "must":
             self._seed = rel.from_cliques(
-                [[e for e in facts.expressions if dot_count(e) <= self.max_dots]]
+                [[e for e in program.expressions if dot_count(e) <= self.max_dots]]
             )
             self.combine = frozenset.intersection
         else:
@@ -394,7 +385,6 @@ class Analysis:
         self.summary(self.program.procedure(MAIN), root[1])  # creates and queues the root key
         while self.queue:
             self.evaluate(self.queue.popleft())
-        self.rounds = max(self.evaluations.values())
         live = {root}
         todo = [root]
         while todo:
@@ -406,7 +396,7 @@ class Analysis:
         return AnalysisResult(
             relation=self.table[root],
             summary_keys=len(self.table),
-            rounds=self.rounds,
+            rounds=max(self.evaluations.values()),
         )
 
     def run_with_trace(self) -> AnalysisResult:
@@ -446,12 +436,8 @@ def analyze(
     program: Program,
     init: Relation = rel.EMPTY,
     config: AnalysisConfig = AnalysisConfig(),
-    trace: bool = False,
 ) -> AnalysisResult:
     """Analyze a whole program: the result is init transferred through a
     call of the main procedure."""
-    analysis = Analysis(program, config, init)
-    if trace:
-        return analysis.run_with_trace()
-    return analysis.run()
+    return Analysis(program, config, init).run()
 

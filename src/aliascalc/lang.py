@@ -41,7 +41,7 @@ import re
 from functools import partial
 from operator import attrgetter
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
     TypeVar, Union,
 )
 
@@ -237,39 +237,31 @@ class Procedure(Record):
     pos = property(_read_pos)
 
 
-class ProgramFacts(NamedTuple):
-    """What the analyses read off a program, none of it depending on the
-    analysis mode or the dot budget."""
-
-    expressions: FrozenSet[Path]  # every path written in the program, plus Current
-    max_dots: int  # the most dots in one of them
-    costs: Dict[str, int]  # per procedure: 1 plus its deepest block nesting
-
-
 MAIN = "Main"  # the procedure a program runs
 
 
 class Program(Record):
-    """A parsed program.  ``facts`` is read off the procedures when the
-    program is built, so every analysis of one program shares one copy."""
+    """A parsed program.  ``expressions``, ``max_dots`` and ``costs`` are
+    what the analyses read off it, none of it depending on the analysis
+    mode or the dot budget: they are read off the procedures when the
+    program is built, so every analysis of one program shares one copy,
+    and they take no part in equality."""
 
-    __slots__ = ("procedures", "level", "_by_name", "facts")
+    __slots__ = ("procedures", "level", "_by_name", "expressions", "max_dots", "costs")
     _compared = ("procedures", "level")
 
     def __init__(self, procedures: Tuple[Procedure, ...], level: str = "e2"):
         object.__setattr__(self, "procedures", procedures)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "_by_name", {p.name: p for p in procedures})
-        expressions: Set[Path] = {CURRENT}
-        costs: Dict[str, int] = {}
+        expressions: Set[Path] = {CURRENT}  # every path written in the program
+        costs: Dict[str, int] = {}  # per procedure: 1 plus its deepest block nesting
         for proc in procedures:
             expressions.update(var(f) for f in proc.formals)
             costs[proc.name] = 1 + _scan(proc.body, expressions)
-        object.__setattr__(self, "facts", ProgramFacts(
-            expressions=frozenset(expressions),
-            max_dots=max(dot_count(e) for e in expressions),
-            costs=costs,
-        ))
+        object.__setattr__(self, "expressions", frozenset(expressions))
+        object.__setattr__(self, "max_dots", max(dot_count(e) for e in expressions))
+        object.__setattr__(self, "costs", costs)
 
     def procedure(self, name: str) -> Procedure:
         try:

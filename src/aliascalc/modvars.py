@@ -86,7 +86,7 @@ def _ins_modset(ins: Instruction, env: Dict[str, ModSet], bound: int) -> ModSet:
 def modified_vars(program: Program, max_dots: int) -> Dict[str, ModSet]:
     """Per-procedure guaranteed-set sets, as a least fixpoint over calls.
     Re-rooted entries with more than max_dots dots are dropped (the
-    analysis's budget, ``engine.resolve_max_dots``)."""
+    analysis's budget, ``engine.Analysis.max_dots``)."""
     env: Dict[str, ModSet] = {p.name: EMPTY_MODSET for p in program.procedures}
     while True:
         changed = False

@@ -149,7 +149,7 @@ def aliases_of(state: ConcreteState) -> Relation:
 
 
 def program_variables(program: Program) -> FrozenSet[str]:
-    return frozenset(e[0] for e in program.facts.expressions if len(e) == 1)
+    return frozenset(e[0] for e in program.expressions if len(e) == 1)
 
 
 def ensure_base_tier(program: Program) -> None:
@@ -318,7 +318,7 @@ def check_soundness(program: Program, init: Relation = rel.EMPTY,
     """Compare enumerated concrete aliasing against the may analysis's
     result, both from init: the runs start from every state init allows,
     and the analysis is the one ``--output relation`` prints for the same
-    init and dot budget (None: derived as ``resolve_max_dots`` does).
+    init and dot budget (None: derived as ``Analysis`` does).
 
     Reports three kinds of problem lines: concrete alias pairs the analysis
     missed (real soundness violations), cut assumptions that some execution

@@ -105,14 +105,6 @@ def prefix_relation(a: Relation, prefix: Path, max_dots: int) -> Relation:
     return frozenset(out)
 
 
-def _partner_index(a: Relation) -> Dict[Path, Set[Path]]:
-    index: Dict[Path, Set[Path]] = {}
-    for e, f in a:
-        index.setdefault(e, set()).add(f)
-        index.setdefault(f, set()).add(e)
-    return index
-
-
 def quotient(a: Relation, y: Path, max_dots: int) -> FrozenSet[Path]:
     """All expressions that may denote the same object as y (y included):
     y itself, its stored partners, and every recombination of a split of
@@ -232,7 +224,10 @@ def canonical(a: Relation) -> Tuple[Tuple[Path, ...], ...]:
     the pivoting Bron–Kerbosch search; the output orders elements within a
     clique, and the cliques themselves, by their rendered text.
     """
-    adj = _partner_index(a)
+    adj: Dict[Path, Set[Path]] = {}
+    for e, f in a:
+        adj.setdefault(e, set()).add(f)
+        adj.setdefault(f, set()).add(e)
 
     # A stack of (r, p, x) frames, not recursion, so no clique is too big.
     cliques: List[Set[Path]] = []
@@ -242,7 +237,16 @@ def canonical(a: Relation) -> Tuple[Tuple[Path, ...], ...]:
         if not p and not x:
             cliques.append(r)
             continue
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
+        # Tomita's pivot: the vertex with the most neighbours in p, the
+        # first strict maximum in x then p.  A vertex of x can reach len(p),
+        # one of p only len(p) - 1, so the scan stops once none can beat it.
+        best = -1
+        for u in chain(x, p):
+            n = len(p & adj[u])
+            if n > best:
+                best, pivot = n, u
+                if best >= len(p) - (u in p):
+                    break
         for v in list(p - adj[pivot]):
             frames.append((r | {v}, p & adj[v], x & adj[v]))
             p.remove(v)

@@ -11,7 +11,7 @@ import pytest
 from conftest import ROOT, fixture_init, read_program
 
 from aliascalc.cli import main
-from aliascalc.engine import AnalysisConfig, analyze, resolve_max_dots
+from aliascalc.engine import Analysis, AnalysisConfig, analyze
 from aliascalc.lang import MAX_NESTING, MAX_SEGMENTS, parse
 from aliascalc.paths import parse_path, render
 from aliascalc.relations import EMPTY, parse_relation_literal, quotient
@@ -264,10 +264,10 @@ def test_assertion_clauses_are_exactly_the_pairs_aliased_denies(name, capsys):
             printed.add((parse_path(lhs), parse_path(rhs)))
     program, init = parse(text), parse_relation_literal(init_text)
     relation = analyze(program, init).relation
-    budget = resolve_max_dots(program, AnalysisConfig(), init)
+    budget = Analysis(program, AnalysisConfig(), init).max_dots
     apart = {
         tuple(sorted((e, f), key=render))
-        for e, f in combinations(program.facts.expressions, 2)
+        for e, f in combinations(program.expressions, 2)
         if f not in quotient(relation, e, budget) and e not in quotient(relation, f, budget)
     }
     assert printed == apart

@@ -18,7 +18,6 @@ from aliascalc.engine import (
     AnalysisConfig,
     TracePoint,
     analyze,
-    resolve_max_dots,
 )
 from aliascalc.lang import (
     KEYWORDS, MAIN, Assign, Call, Cond, Loop, Procedure, Program, Repeat, _walk, instructions_of,
@@ -959,7 +958,7 @@ def test_a_larger_initial_relation_never_removes_a_pair():
         text, level = workload_program(seed)
         program = parse(text, level=level)
         rng = random.Random(seed)
-        e, f = rng.sample(sorted(p for p in program.facts.expressions if dot_count(p) <= 3), 2)
+        e, f = rng.sample(sorted(p for p in program.expressions if dot_count(p) <= 3), 2)
         for mode in ("may", "must"):
             config = AnalysisConfig(mode, 3)
             small = analyze(program, EMPTY, config).relation
@@ -1019,8 +1018,8 @@ def test_subst_agrees_with_copying_version_on_every_recorded_call(monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURES + ["gen-%d" % seed for seed in range(12)])
 def test_one_parsed_program_serves_every_mode_and_budget(name):
-    # The program's facts are computed by its first analysis and shared by
-    # the rest, so the order of modes and budgets must not matter.
+    # The program's facts are read when it is built and shared by every
+    # analysis, so the order of modes and budgets must not matter.
     if name.startswith("gen-"):
         program, init = generated(int(name[4:]))
         text, level = pretty(program), program.level
@@ -1039,18 +1038,17 @@ def test_one_parsed_program_serves_every_mode_and_budget(name):
 # -- trace ---------------------------------------------------------------------------
 
 def test_trace_one_point_per_top_level_instruction():
-    res = analyze(parse("x := y\nz := x", level="e0"), trace=True)
+    res = Analysis(parse("x := y\nz := x", level="e0")).run_with_trace()
     assert len(res.trace) == 2
     assert res.trace[0].label == "x := y"
     assert res.trace[1].relation == res.relation
 
 
 def test_trace_shows_loop_chain():
-    res = analyze(
+    res = Analysis(
         parse("loop x := y ; y := z ; z := x end", level="e0"),
-        lit("{c,y},{d,z}"),
-        trace=True,
-    )
+        init=lit("{c,y},{d,z}"),
+    ).run_with_trace()
     labels = [p.label for p in res.trace]
     assert labels[:3] == ["t_0", "t_1", "t_2"]
     chain = [render_relation(p.relation) for p in res.trace[:3]]
@@ -1062,7 +1060,7 @@ def test_trace_shows_loop_chain():
 
 
 def test_trace_context_carries_entry_relation():
-    res = analyze(parse("z := f", level="e0"), lit("{b,c},{f,g,x},{y,z}"), trace=True)
+    res = Analysis(parse("z := f", level="e0"), init=lit("{b,c},{f,g,x},{y,z}")).run_with_trace()
     assert res.trace[0].context == "Main from {b, c}, {f, g, x}, {y, z}"
     assert render_relation(res.trace[0].relation) == "{b, c}, {f, g, x, z}"
 
@@ -1070,8 +1068,8 @@ def test_trace_context_carries_entry_relation():
 def test_trace_points_compare_by_value():
     # outcome() compares whole traces of two analyses.
     text = read_program("mutual_recursion.e1")
-    first = analyze(parse(text, level="e1"), trace=True).trace
-    second = analyze(parse(text, level="e1"), trace=True).trace
+    first = Analysis(parse(text, level="e1")).run_with_trace().trace
+    second = Analysis(parse(text, level="e1")).run_with_trace().trace
     assert first == second and first is not second
     point = TracePoint("Main from {}", "x := y", lit("{x,y}"))
     assert point == TracePoint("Main from {}", "x := y", lit("{x,y}"))
@@ -1092,25 +1090,25 @@ def test_config_is_an_immutable_value():
         MUST.mode = "may"
 
 
-def test_resolve_max_dots_floors_at_three():
+def test_dot_budget_is_at_least_three():
     prog = parse("x := y", level="e2")
-    assert resolve_max_dots(prog, AnalysisConfig(), EMPTY) == 3
+    assert Analysis(prog, AnalysisConfig(), EMPTY).max_dots == 3
 
 
-def test_resolve_max_dots_follows_program_depth():
+def test_dot_budget_covers_the_deepest_program_path():
     prog = parse("x := y.a.b.c.d", level="e2")
-    assert resolve_max_dots(prog, AnalysisConfig(), EMPTY) == 4
+    assert Analysis(prog, AnalysisConfig(), EMPTY).max_dots == 4
 
 
-def test_resolve_max_dots_follows_init_depth():
+def test_dot_budget_covers_the_deepest_init_path():
     prog = parse("x := y", level="e2")
     init = lit("{a.b.c.d.e, u}")
-    assert resolve_max_dots(prog, AnalysisConfig(), init) == 4
+    assert Analysis(prog, AnalysisConfig(), init).max_dots == 4
 
 
-def test_resolve_max_dots_override_wins():
+def test_dot_budget_override_beats_the_derived_budget():
     prog = parse("x := y.a.b.c.d", level="e2")
-    assert resolve_max_dots(prog, AnalysisConfig(max_dots=1), EMPTY) == 1
+    assert Analysis(prog, AnalysisConfig(max_dots=1), EMPTY).max_dots == 1
 
 
 def test_bound_truncates_growth():

@@ -417,10 +417,9 @@ def test_record_fields_cannot_be_assigned_or_deleted(record, field):
 
 def test_program_facts_are_computed_once():
     prog = parse("x := y.a")
-    assert prog.facts is prog.facts
-    assert prog.facts.max_dots == 1
+    assert prog.max_dots == 1
     with pytest.raises(AttributeError):
-        prog.facts = None
+        prog.max_dots = None
 
 
 # -- errors ----------------------------------------------------------------------
@@ -557,7 +556,7 @@ def test_statements_cannot_mix_with_procedures():
 
 def test_expressions_of():
     prog = parse("z := x.a ; cut b, c ; create d ; forget e", level="e2")
-    exprs = prog.facts.expressions
+    exprs = prog.expressions
     for text in ("z", "x.a", "b", "c", "d", "e", "Current"):
         assert parse_path(text) in exprs
 
@@ -567,14 +566,14 @@ def test_expressions_of_includes_formals_and_call_parts():
         "procedure Main\n call x.q (u)\nend\nprocedure q (f)\n skip\nend",
         level="e2",
     )
-    exprs = prog.facts.expressions
+    exprs = prog.expressions
     for text in ("x", "u", "f"):
         assert parse_path(text) in exprs
 
 
 def test_max_dot_count():
-    assert parse("x := y", level="e2").facts.max_dots == 0
-    assert parse("x := y.a.b", level="e2").facts.max_dots == 2
+    assert parse("x := y", level="e2").max_dots == 0
+    assert parse("x := y.a.b", level="e2").max_dots == 2
 
 
 def test_nesting_costs():
@@ -586,7 +585,7 @@ def test_nesting_costs():
         "procedure q\n skip\nend",
         level="e1",
     )
-    assert prog.facts.costs == {"Main": 3, "q": 1}
+    assert prog.costs == {"Main": 3, "q": 1}
 
 
 # -- iterate --------------------------------------------------------------------------

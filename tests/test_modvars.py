@@ -1,6 +1,6 @@
 from conftest import read_program
 
-from aliascalc.engine import AnalysisConfig, resolve_max_dots
+from aliascalc.engine import Analysis, AnalysisConfig
 from aliascalc.lang import MAIN, parse
 from aliascalc.modvars import modified_vars
 from aliascalc.paths import render
@@ -9,7 +9,7 @@ from aliascalc.relations import EMPTY
 
 def sets_of(prog):
     """The guaranteed sets under the analysis's budget for prog from empty."""
-    return modified_vars(prog, resolve_max_dots(prog, AnalysisConfig(), EMPTY))
+    return modified_vars(prog, Analysis(prog, AnalysisConfig(), EMPTY).max_dots)
 
 
 def mains(text, level="e2"):

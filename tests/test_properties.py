@@ -6,7 +6,6 @@ follow the project's acceptance bar (1000 cases for the algebraic laws,
 """
 
 import hashlib
-import itertools
 import os
 import random
 import subprocess
@@ -14,6 +13,7 @@ import sys
 
 from randprog import ALL_FORMS, STRAIGHT_LINE, pretty, random_program, with_calls
 from test_paths import reduced
+from test_relations import brute_force_cliques
 
 from aliascalc.engine import AnalysisConfig, analyze
 from aliascalc.lang import (
@@ -28,7 +28,7 @@ from aliascalc.lang import (
     parse,
 )
 from aliascalc.oracle import check_soundness
-from aliascalc.paths import parse_path, render, var
+from aliascalc.paths import parse_path, var
 from aliascalc.relations import (
     EMPTY,
     canonical,
@@ -117,18 +117,6 @@ def test_intersection_distribution_fails_with_branching():
 
 
 # -- canonical form vs brute force ---------------------------------------------------
-
-def brute_force_cliques(a):
-    universe = sorted(elements(a), key=render)
-    full = [
-        set(sub)
-        for size in range(2, len(universe) + 1)
-        for sub in itertools.combinations(universe, size)
-        if all(make_pair(e, f) in a for e, f in itertools.combinations(sub, 2))
-    ]
-    maximal = [s for s in full if not any(s < t for t in full)]
-    return sorted(tuple(sorted(s, key=render)) for s in maximal)
-
 
 def test_canonical_vs_brute_force_200():
     rng = random.Random(SEED)

@@ -57,7 +57,7 @@ seed_paths = st.lists(
 
 
 @given(st.lists(seed_paths, max_size=4))
-def test_universal(groups):
+def test_from_cliques_pairs_each_two_distinct_members_of_a_group(groups):
     # The one all-pairs builder: each two distinct members of a group,
     # duplicates and Current among them, make one oriented pair.
     want = {make_pair(e, f) for group in groups for e in group for f in group if e != f}
@@ -304,6 +304,16 @@ def test_canonical_of_a_large_clique_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert cliques == (tuple(sorted(members, key=render)),)
+
+
+def test_canonical_of_a_large_clique_scores_few_pivots():
+    # A pivot adjacent to all of p ends the scan at once: one Tomita pivot
+    # per frame, not a score for every candidate of every frame.
+    n = 300
+    members = [var(f"v{i}") for i in range(n)]
+    cliques, calls = python_calls(canonical, from_cliques([members]))
+    assert cliques == (tuple(sorted(members, key=render)),)
+    assert calls < 4 * n
 
 
 def brute_force_cliques(a):
