@@ -18,20 +18,16 @@ The transfer of a relation through an instruction follows one rule per form:
   finite and the step is monotone.
 * ``call r (l)`` — formals are assigned the actuals, then the body runs;
   resolved through a summary table so recursion terminates.
-* ``call x.r (l)`` — in may mode the caller's relation is split in two.
-  The *visible* part holds every pair with an element that is ``Current``,
-  is rooted at the target's first segment, or is a non-empty prefix of an
-  actual: the only caller paths the callee can read (as ``x'``-prefixed
-  sub-paths of its shifted actuals) or write (its own names are the
-  caller's ``x.*``).  The *carried* part, every other pair, crosses the
-  call unchanged, as the frame rule carries what a call cannot touch.
-  The visible part is re-rooted under the negated target (every element
-  prefixed by ``x'``, with ``len(x)`` more dots allowed), formals are
-  assigned the re-rooted actuals, the body runs, the result is re-rooted
-  back under ``x``, pairs that mention a formal of ``r`` under ``x`` or a
-  leftover negated segment — both meaningless to the caller — are
-  dropped, and the carried part is added back.  Must mode sends the whole
-  relation through, within the plain budget.
+* ``call x.r (l)`` — ``Analysis.frame`` splits the caller's relation into
+  the *visible* pairs, the only ones the callee can read or write, and the
+  *carried* pairs, which cross the call unchanged as the frame rule carries
+  what a call cannot touch, and sets the entry budget; the call depends on
+  the mode only there.  The visible part is re-rooted under the negated
+  target (every element prefixed by ``x'``), formals are assigned the
+  re-rooted actuals, the body runs, the result is re-rooted back under
+  ``x``, pairs that mention a formal of ``r`` under ``x`` or a leftover
+  negated segment — both meaningless to the caller — are dropped, and the
+  carried part is added back.
 
 Interprocedural analysis caches one exit relation per (procedure, entry
 relation) pair.  A key that is new when a body looks it up has its own
@@ -318,32 +314,39 @@ class Analysis:
             )
         return self.summary(proc, entry)
 
+    def frame(self, a: Relation, ins: Call) -> Tuple[Relation, Relation, int]:
+        """The qualified call's frame rule: the pairs of the caller's
+        relation the callee sees, the pairs that cross the call unchanged,
+        and the dot budget on entry.  Must mode sends the whole relation
+        through, within the plain budget.  In may mode the callee reads a
+        caller path only as Current or a prefix of an actual, and writes
+        only paths under the target: a pair with neither kind of element
+        crosses the call unchanged.  The shift adds len(target) segments,
+        which the entry budget allows for."""
+        if self.config.mode == "must":
+            return a, rel.EMPTY, self.max_dots
+        head = ins.qualifier[0]
+        reads = {arg[:i] for arg in ins.args for i in range(1, len(arg) + 1)}
+        carried = frozenset(
+            (e, f) for e, f in a
+            if e and f and e[0] != head and f[0] != head
+            and e not in reads and f not in reads
+        )
+        return a - carried if carried else a, carried, self.max_dots + len(ins.qualifier)
+
     def call_qualified(self, a: Relation, ins: Call) -> Relation:
+        """Run ``call x.r (l)``: the visible part of ``frame``'s split is
+        shifted under the negated target, the formals are bound to the
+        shifted actuals, the summary runs, the exit is shifted back under
+        the target and cleaned, and the carried part is added back."""
         proc = self.program.procedure(ins.proc)
         target = ins.qualifier
         back = negation(target)
-        visible, carried, budget = a, rel.EMPTY, self.max_dots
-        if self.config.mode == "may":
-            # The callee reads a caller path only as Current or a prefix of
-            # an actual, and writes only paths under the target: a pair with
-            # neither kind of element crosses the call unchanged.  The shift
-            # adds len(target) segments, which the entry budget allows for.
-            head = target[0]
-            reads = {arg[:i] for arg in ins.args for i in range(1, len(arg) + 1)}
-            carried = frozenset(
-                (e, f) for e, f in a
-                if e and f and e[0] != head and f[0] != head
-                and e not in reads and f not in reads
-            )
-            if carried:
-                visible = a - carried
-            budget += len(target)
+        visible, carried, budget = self.frame(a, ins)
         key = (id(ins), visible)
         entry = self.memo.get(key)
         if entry is None:
-            # The caller's relation, seen from the callee.
             inside = rel.prefix_relation(visible, back, budget)
-            # Formals receive the actuals as the callee sees them.
             entry = self.memo[key] = rel.subst_list(
                 inside,
                 [(f,) for f in proc.formals],
@@ -354,7 +357,6 @@ class Analysis:
         key = (id(ins), "exit", exit_rel)
         out = self.memo.get(key)
         if out is None:
-            # Back to the caller's frame.
             outside = rel.prefix_relation(exit_rel, target, self.max_dots)
             # Pairs mentioning a formal under the target, or a residual
             # negated segment, mean nothing to the caller once the call has

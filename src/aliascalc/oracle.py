@@ -81,15 +81,16 @@ def initial_state(variables: Iterable[str]) -> ConcreteState:
 
 
 def start_states(variables: FrozenSet[str], init: Relation) -> Iterator[ConcreteState]:
-    """Every state with all of variables defined that init allows: one
-    per partition of them into blocks whose members init pairs with one
-    another, the all-distinct state first.  Only variables init pairs with
-    another of them are ever merged, so an empty init yields that one
-    state and walks no partition.  Blocks are built on an explicit stack,
-    so a large clique in init does not recurse."""
+    """Every state that init allows with all of variables and every
+    variable init names defined: one per partition of them into blocks
+    whose members init pairs with one another, the all-distinct state
+    first.  Only variables init pairs with another are ever merged, so an
+    empty init yields that one state and walks no partition.  Blocks are
+    built on an explicit stack, so a large clique in init does not recurse."""
+    variables = variables | {e[0] for e in rel.elements(init) if len(e) == 1}
     partners: Dict[str, Set[str]] = {}
     for e, f in init:
-        if len(e) == len(f) == 1 and e[0] in variables and f[0] in variables:
+        if len(e) == len(f) == 1:
             partners.setdefault(e[0], set()).add(f[0])
             partners.setdefault(f[0], set()).add(e[0])
     merged = sorted(partners)
@@ -266,8 +267,9 @@ class RunResult:
 
 def run_program(program: Program, init: Relation = rel.EMPTY) -> RunResult:
     """All final executions of the main body from every start state init
-    allows (``start_states``); an empty init allows only the all-distinct
-    one.  The starts count against ``MAX_PATHS`` like any execution set."""
+    allows over the program's variables and those init names
+    (``start_states``); an empty init allows only the all-distinct one.
+    The starts count against ``MAX_PATHS`` like any execution set."""
     ensure_base_tier(program)
     interp = Interpreter()
     starts = islice(start_states(program_variables(program), init), MAX_PATHS + 1)

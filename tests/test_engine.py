@@ -24,7 +24,7 @@ from aliascalc.lang import (
     parse,
 )
 from aliascalc.paths import (
-    NEG_MARK, concat, dot_count, has_negation, negate_segment, negation, parse_path, var,
+    NEG_MARK, dot_count, has_negation, negate_segment, parse_path, var,
 )
 from aliascalc.relations import (
     EMPTY,
@@ -671,39 +671,10 @@ def test_linked_lists_shared_head_joins_cursors():
 
 class OldFrame(Analysis):
     """The qualified-call rule before the frame split: the caller's whole
-    relation goes through the view shift, the summary and the shift back."""
+    relation goes through the call, within the plain budget."""
 
-    def call_qualified(self, a, ins):
-        proc = self.program.procedure(ins.proc)
-        target = ins.qualifier
-        back = negation(target)
-        key = (id(ins), a)
-        entry = self.memo.get(key)
-        if entry is None:
-            inside = rel.prefix_relation(a, back, self.entry_budget(target))
-            entry = self.memo[key] = rel.subst_list(
-                inside,
-                [(f,) for f in proc.formals],
-                [concat(back, arg) for arg in ins.args],
-                self.max_dots,
-            )
-        exit_rel = self.summary(proc, entry)
-        key = (id(ins), "exit", exit_rel)
-        out = self.memo.get(key)
-        if out is None:
-            outside = rel.prefix_relation(exit_rel, target, self.max_dots)
-            roots = {concat(target, (f,)) for f in proc.formals}
-            n = len(target) + 1
-            out = self.memo[key] = frozenset(
-                (e, f)
-                for e, f in outside
-                if e[:n] not in roots and f[:n] not in roots
-                and not has_negation(e) and not has_negation(f)
-            )
-        return out
-
-    def entry_budget(self, target):
-        return self.max_dots
+    def frame(self, a, ins):
+        return a, EMPTY, self.max_dots
 
 
 GEN = load_gen()
@@ -813,13 +784,12 @@ def test_formal_copy_keeps_a_deep_partner_of_the_actual():
     assert make_pair(parse_path("a.b"), parse_path("d.right.right.right")) in out
 
 
-class WholeRelation(OldFrame):
-    """The qualified-call rule without the frame split: OldFrame's route,
-    with the entry budget of the split, which allows for the len(target)
-    dots the shift adds."""
+class WholeRelation(Analysis):
+    """The qualified-call rule without the frame split, with the split's
+    entry budget, which allows for the len(target) dots the shift adds."""
 
-    def entry_budget(self, target):
-        return self.max_dots + len(target)
+    def frame(self, a, ins):
+        return a, EMPTY, self.max_dots + len(ins.qualifier)
 
 
 @pytest.mark.xfail(strict=True, reason="the exit cleaning drops a negated pair the split carries")

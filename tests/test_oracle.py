@@ -1,5 +1,6 @@
 import hashlib
 import re
+from itertools import combinations, permutations, product
 from random import Random
 from typing import NamedTuple, Tuple
 
@@ -23,7 +24,7 @@ from aliascalc.oracle import (
     program_variables,
     run_program,
 )
-from aliascalc.relations import EMPTY, parse_relation_literal as lit
+from aliascalc.relations import EMPTY, make_pair, parse_relation_literal as lit, render_relation
 from aliascalc.paths import var
 
 
@@ -347,6 +348,14 @@ def test_soundness_runs_from_every_start_init_allows(tmp_path, capsys):
     assert check_soundness(program, init).computed == analyze(program, init).relation
 
 
+def test_soundness_starts_from_the_variables_init_names():
+    # The program never names b, but {a,b} lets a and b start as one
+    # object, and from that start x := a leaves b and x aliased.
+    rep = check_soundness(parse("x := a", level="e0"), lit("{a,b}"))
+    assert rep.paths == 2
+    assert make_pair(var("b"), var("x")) in rep.realised
+
+
 def test_a_start_set_past_the_cap_is_bounded():
     # One clique of 12 variables allows Bell(12), over 4 million, starts.
     names = "abcdefghijkl"
@@ -366,6 +375,55 @@ def test_soundness_over_mixed_flow_fixture():
     assert rep.modvar_violations == []
     assert len(rep.cut_violations) == 2
 
+
+# -- bounded-exhaustive checking ---------------------------------------------------------
+
+NAMES = "abc"
+ATOMS = (
+    ["skip"] + [f"{op} {v}" for op in ("create", "forget") for v in NAMES]
+    + [f"{v} := {w}" for v, w in permutations(NAMES, 2)]
+    + [f"cut {v}, {w}" for v, w in combinations(NAMES, 2)]
+)
+
+
+def small_programs():
+    """Every sequence of one to three atoms, and every compound over atoms
+    on its own, followed by one atom and preceded by one."""
+    for n in (1, 2, 3):
+        yield from (" ; ".join(seq) for seq in product(ATOMS, repeat=n))
+    compounds = [f"then {a} else {b} end" for a, b in product(ATOMS, repeat=2)]
+    compounds += [f"{head} {a} end" for head in ("loop", "iterate 2") for a in ATOMS]
+    for c in compounds:
+        yield c
+        yield from (f"{c} ; {a}" for a in ATOMS)
+        yield from (f"{a} ; {c}" for a in ATOMS)
+
+
+def test_every_small_e0_program_is_sound():
+    # A small-scope check: every program up to this size, from an empty
+    # init and from one that lets two of its variables start shared.  The
+    # line pins the totals, which change only when the oracle or the
+    # analysis does; 0 findings is the soundness claim.
+    inits = [EMPTY, lit("{a,b}")]
+    programs = checks = paths = predicted = unrealised = 0
+    findings = []
+    for text in small_programs():
+        programs += 1
+        program = parse(text, level="e0")
+        for init in inits:
+            rep = check_soundness(program, init)
+            checks += 1
+            paths += rep.paths
+            predicted += len(rep.computed)
+            unrealised += len(rep.computed - rep.realised)
+            if rep.containment_violations or rep.modvar_violations:
+                findings.append((text, render_relation(init), rep.render()))
+    assert findings == []
+    assert (
+        f"{programs} programs, {checks} checks, {paths} paths, {len(findings)} findings, "
+        f"{predicted} predicted pairs, {unrealised} realised by no run"
+    ) == ("13872 programs, 27744 checks, 49761 paths, 0 findings, "
+          "27157 predicted pairs, 1536 realised by no run")
 
 
 # -- the interpreter on allocation-numbered states --------------------------------------
@@ -474,7 +532,9 @@ def test_canonical_states_agree_with_the_allocation_numbered_reference(monkeypat
 def test_witness_paths_are_those_of_the_first_run_to_each_outcome(monkeypatch):
     # The reference test above strips witness paths, and the e0 goldens
     # pin only a few.  This digest pins every report's text, paths
-    # included: 677 of the reports carry a witness path and 81 are bounded.
+    # included: 674 of the reports carry a witness path.  The 200 run with
+    # MAX_PATHS = 10 are all bounded, since {a,b,c,d} allows Bell(4) = 15
+    # starts; the others are not.
     rng = Random(5)
     inits = [lit("{}"), lit("{a,b}"), lit("{a,b,c},{d,e}")]
     reports = [check_soundness(prog, init)
@@ -483,4 +543,4 @@ def test_witness_paths_are_those_of_the_first_run_to_each_outcome(monkeypatch):
     rng = Random(6)
     reports += [check_soundness(random_program(rng), lit("{a,b,c,d}")) for _ in range(200)]
     text = "\n".join(report.render() for report in reports)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "09526a450191864b"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2d7c9e77e370ddae"
